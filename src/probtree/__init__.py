@@ -17,7 +17,7 @@ from .learner import (DecisionNode, Leaf, LearnerConfig, SplitCriterion,
 from .model_io import ModelFormatError, dumps, export_dot, load, loads, save
 from .multinomial import Multinomial
 from .plcdf import (Dirac, DistributionError, PiecewiseLinearCDF,
-                    QuantilePoint, build_quantile_dataset, cdf_learn)
+                    build_quantile_dataset, cdf_learn)
 
 __all__ = [
     "Assignment", "AssignmentError", "DataError", "Dataset", "Interval",
@@ -27,8 +27,8 @@ __all__ = [
     "sample", "DecisionNode", "Leaf", "LearnerConfig", "SplitCriterion",
     "TreeModel", "impurity_improvement", "learn", "ModelFormatError", "dumps",
     "export_dot", "load", "loads", "save", "Multinomial", "Dirac",
-    "DistributionError", "PiecewiseLinearCDF", "QuantilePoint",
-    "build_quantile_dataset", "cdf_learn",
+    "DistributionError", "PiecewiseLinearCDF", "build_quantile_dataset",
+    "cdf_learn",
 ]
 
 __version__ = "0.1.0"

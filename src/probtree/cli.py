@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import experiments
-from .data import (AssignmentError, DataError, emit_csv, ingest_csv,
+from .data import (AssignmentError, DataError, Dataset, emit_csv, ingest_csv,
                    load_schema_override, parse_assignment)
 from .inference import (ZeroEvidenceError, event_probability,
                         expectation_query, log_likelihood, mpe, sample)
@@ -145,14 +145,28 @@ def _cmd_query(args) -> int:
 
 def _cmd_likelihood(args) -> int:
     model = load(args.model)
-    data = ingest_csv(args.data)
-    avg, zero = log_likelihood(model, data)
+    data = ingest_csv(args.data, {v.name: v.kind for v in model.schema})
+    avg, zero = log_likelihood(model, _in_domain(data, model.schema))
     if args.json:
         print(json.dumps({"avg_loglik": avg, "zero_fraction": zero}))
     else:
         print(f"avg log-likelihood: {avg:.6g}")
         print(f"zero-likelihood fraction: {zero:.4g}")
     return EXIT_OK
+
+
+def _in_domain(data: Dataset, schema) -> Dataset:
+    """``data`` with each symbolic column re-encoded, label by label, into
+    the domain of the same-named variable of ``schema``; a label outside
+    that domain raises DataError."""
+    if [v.name for v in data.schema] != [v.name for v in schema]:
+        raise DataError("data columns do not match the model's variables")
+    values = data.values.copy()
+    for j, (read, var) in enumerate(zip(data.schema, schema)):
+        if var.symbolic:
+            codes = np.array([var.index_of(label) for label in read.domain], dtype=float)
+            values[:, j] = codes[data.values[:, j].astype(int)]
+    return Dataset(schema, values, data.weights)
 
 
 def _cmd_sample(args) -> int:

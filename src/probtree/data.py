@@ -346,7 +346,7 @@ def ingest_csv(path, schema_override: dict | None = None) -> Dataset:
     override = dict(schema_override or {})
     for name, kind in override.items():
         if name not in header:
-            raise DataError(f"schema override names unknown column {name!r}")
+            raise DataError(f"schema names column {name!r}, which {path} does not have")
         if kind not in (NUMERIC, SYMBOLIC):
             raise DataError(f"schema override for {name!r} must be 'numeric' or 'symbolic'")
 

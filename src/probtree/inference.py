@@ -170,6 +170,22 @@ def _merge_numeric(components) -> "PiecewiseLinearCDF | Dirac":
     return PiecewiseLinearCDF(np.column_stack([xs, F]))
 
 
+def _components(model: TreeModel, posterior: np.ndarray, e: Assignment, var) -> list:
+    """``(P(leaf | e), leaf distribution of var conditioned on e)`` for every
+    leaf with positive posterior."""
+    comps = []
+    for k, leaf in enumerate(model.leaves):
+        if posterior[k] == 0.0:
+            continue
+        dist = _condition(leaf.distributions[var.name], e.get(var.name))
+        if dist is None:
+            # conditioned mass is zero although the evidence factor was
+            # positive: cannot happen, the leaf weight would be zero
+            raise AssertionError("inconsistent leaf conditioning")
+        comps.append((float(posterior[k]), dist))
+    return comps
+
+
 def posterior_distributions(model: TreeModel, e: Assignment | None = None) -> dict:
     """Per-variable posterior marginals given evidence, as superimposed
     leaf distributions (merged PLF / Dirac for numeric, histogram mixture
@@ -178,16 +194,7 @@ def posterior_distributions(model: TreeModel, e: Assignment | None = None) -> di
     e = e or {}
     out = {}
     for var in model.schema:
-        comps = []
-        for k, leaf in enumerate(model.leaves):
-            if posterior[k] == 0.0:
-                continue
-            dist = _condition(leaf.distributions[var.name], e.get(var.name))
-            if dist is None:
-                # conditioned mass is zero although the evidence factor was
-                # positive: cannot happen, the leaf weight would be zero
-                raise AssertionError("inconsistent leaf conditioning")
-            comps.append((float(posterior[k]), dist))
+        comps = _components(model, posterior, e, var)
         if var.numeric:
             out[var.name] = _merge_numeric(comps)
         else:
@@ -202,16 +209,18 @@ def expectation_query(model: TreeModel, target: str,
                       e: Assignment | None = None, theta: float = 0.95):
     """Expectation of a numeric variable with a confidence interval.
 
-    Returns ``(mean, lower, upper)`` from the posterior mixture CDF.
+    Returns ``(mean, lower, upper)``. The mean is the exact mixture mean
+    ``sum_k P(leaf k | e) * E[target | leaf k, e]``; the interval comes from
+    the merged posterior CDF of the target, widened to contain the mean.
     """
     var = model.variable(target)
     if not var.numeric:
         raise AssignmentError(
             f"{target!r} is symbolic; use posterior_distributions instead")
-    dist = posterior_distributions(model, e)[target]
-    mean = dist.expectation()
-    l, u = dist.confidence_interval(theta)
-    return mean, l, u
+    comps = _components(model, leaf_posterior(model, e), e or {}, var)
+    mean = sum(w * d.expectation() for w, d in comps)
+    l, u = _merge_numeric(comps).confidence_interval(theta)
+    return mean, min(l, mean), max(u, mean)
 
 
 def _max_density_point(dist):
@@ -268,8 +277,9 @@ def log_likelihood(model: TreeModel, data: Dataset):
     Returns ``(average, zero_fraction)``; the average is NaN when every
     row has zero likelihood.
     """
-    if tuple(v.name for v in data.schema) != tuple(v.name for v in model.schema):
-        raise AssignmentError("dataset schema does not match the model")
+    if tuple(data.schema) != tuple(model.schema):
+        raise AssignmentError("dataset schema (names, kinds and symbolic domains) "
+                              "does not match the model")
     total, finite = 0.0, 0
     zero = 0
     for i in range(len(data)):

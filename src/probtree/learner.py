@@ -11,13 +11,14 @@ over every variable, so the whole tree forms a mixture model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .data import Assignment, DataError, Dataset, Interval, Variable
-from .multinomial import Multinomial
-from .plcdf import Dirac, PiecewiseLinearCDF, build_quantile_dataset, cdf_learn
+from .multinomial import Multinomial, entropy_rel
+from .plcdf import Dirac, build_quantile_dataset, cdf_learn
 
 _PURE = 1e-12  # impurity at or below this counts as zero
 
@@ -34,10 +35,11 @@ class SplitCriterion:
     threshold: float = math.nan  # numeric splits
     value_index: int = -1        # symbolic splits
 
-    def matches(self, cell: float) -> bool:
+    def matches(self, cell):
+        """Whether a cell, or each cell of an array, takes the left branch."""
         if self.kind == THRESHOLD:
             return cell <= self.threshold
-        return int(cell) == self.value_index
+        return cell == self.value_index
 
     def label(self) -> str:
         if self.kind == THRESHOLD:
@@ -167,23 +169,32 @@ class LearnerConfig:
 # -- impurity ----------------------------------------------------------------
 
 
-def _entropy_rel(weighted_counts: np.ndarray) -> float:
-    k = len(weighted_counts)
-    if k <= 1:
-        return 0.0
-    total = weighted_counts.sum()
-    nz = weighted_counts[weighted_counts > 0] / total
-    return float(-(nz * np.log(nz)).sum()) / math.log(k)
-
-
 def _weighted_mse(values: np.ndarray, weights: np.ndarray) -> float:
     total = weights.sum()
     mean = float((weights * values).sum() / total)
     return float((weights * (values - mean) ** 2).sum() / total)
 
 
+class _Stats(NamedTuple):
+    """Sufficient statistics of B row sets over the impurity scope."""
+
+    w: np.ndarray   # (B,) total weight
+    counts: dict    # symbolic scope column -> (B, k) weighted class counts
+    sums: dict      # numeric scope column -> ((B,) sum w*x, (B,) sum w*x*x)
+
+    def map(self, f) -> "_Stats":
+        """Apply the same row-wise operation ``f`` to every statistic."""
+        return _Stats(f(self.w), {j: f(c) for j, c in self.counts.items()},
+                      {j: (f(s1), f(s2)) for j, (s1, s2) in self.sums.items()})
+
+    def __sub__(self, other: "_Stats") -> "_Stats":
+        return _Stats(self.w - other.w, {j: c - other.counts[j] for j, c in self.counts.items()},
+                      {j: (s1 - other.sums[j][0], s2 - other.sums[j][1])
+                       for j, (s1, s2) in self.sums.items()})
+
+
 class _Scope:
-    """Per-node sufficient statistics over the impurity scope."""
+    """Per-node impurity scope: its rows, parent impurities and the scorer."""
 
     def __init__(self, schema, scope_indices, values, weights):
         self.schema = schema
@@ -192,20 +203,32 @@ class _Scope:
         self.total = float(weights.sum())
         self.sym = [j for j in scope_indices if schema[j].symbolic]
         self.num = [j for j in scope_indices if schema[j].numeric]
-        self.parent_h = {j: _entropy_rel(self._counts(j)) for j in self.sym}
+        node = self.grouped(np.zeros(len(weights), dtype=np.intp), 1)
+        self.parent_h = {j: float(entropy_rel(c[0])) for j, c in node.counts.items()}
         self.parent_mse = {j: _weighted_mse(values[:, j], weights) for j in self.num}
 
-    def _counts(self, j: int) -> np.ndarray:
-        k = len(self.schema[j].domain)
-        return np.bincount(self.values[:, j].astype(int), weights=self.weights,
-                           minlength=k)
+    def grouped(self, groups: np.ndarray, n: int) -> _Stats:
+        """Statistics of the rows in each of ``n`` groups (row -> group id)."""
+        w = self.weights
+        counts = {}
+        for j in self.sym:
+            k = len(self.schema[j].domain)
+            cell = groups * k + self.values[:, j].astype(np.intp)
+            counts[j] = np.bincount(cell, weights=w, minlength=n * k).reshape(n, k)
+        sums = {}
+        for j in self.num:
+            wx = w * self.values[:, j]
+            sums[j] = (np.bincount(groups, weights=wx, minlength=n),
+                       np.bincount(groups, weights=wx * self.values[:, j], minlength=n))
+        return _Stats(np.bincount(groups, weights=w, minlength=n), counts, sums)
 
     def all_pure(self) -> bool:
         return (all(h <= _PURE for h in self.parent_h.values())
                 and all(m <= _PURE for m in self.parent_mse.values()))
 
-    def improvement(self, left_mask: np.ndarray) -> float:
-        """Combined relative impurity improvement of a binary split.
+    def score(self, left: _Stats, right: _Stats, total) -> np.ndarray:
+        """Combined relative impurity improvement of B binary splits of rows
+        of weight ``total``, given the statistics of each side.
 
         Per symbolic variable: parent relative entropy minus the
         weight-averaged children's. Per numeric variable: the fraction by
@@ -213,35 +236,29 @@ class _Scope:
         is averaged with weight 1/|class|^2; an already-pure variable
         contributes 0.
         """
-        wl = float(self.weights[left_mask].sum())
-        wr = self.total - wl
-        total_i = 0.0
+        wl, wr = left.w, right.w
+        improvement = np.zeros(len(wl))
         if self.sym:
-            s = 0.0
+            s = np.zeros(len(wl))
             for j in self.sym:
                 hp = self.parent_h[j]
                 if hp <= _PURE:
                     continue
-                k = len(self.schema[j].domain)
-                cl = np.bincount(self.values[left_mask, j].astype(int),
-                                 weights=self.weights[left_mask], minlength=k)
-                cr = np.bincount(self.values[~left_mask, j].astype(int),
-                                 weights=self.weights[~left_mask], minlength=k)
-                child = (wl * _entropy_rel(cl) + wr * _entropy_rel(cr)) / self.total
-                s += hp - child
-            total_i += s / len(self.sym) ** 2
+                hl, hr = entropy_rel(left.counts[j]), entropy_rel(right.counts[j])
+                s += hp - (wl * hl + wr * hr) / total
+            improvement += s / len(self.sym) ** 2
         if self.num:
-            s = 0.0
+            s = np.zeros(len(wl))
             for j in self.num:
                 mp = self.parent_mse[j]
                 if mp <= _PURE:
                     continue
-                ml = _weighted_mse(self.values[left_mask, j], self.weights[left_mask])
-                mr = _weighted_mse(self.values[~left_mask, j], self.weights[~left_mask])
-                child = (wl * ml + wr * mr) / self.total
-                s += (mp - child) / mp
-            total_i += s / len(self.num) ** 2
-        return total_i
+                (s1l, s2l), (s1r, s2r) = left.sums[j], right.sums[j]
+                ml = np.maximum(s2l / wl - (s1l / wl) ** 2, 0.0)
+                mr = np.maximum(s2r / wr - (s1r / wr) ** 2, 0.0)
+                s += (mp - (wl * ml + wr * mr) / total) / mp
+            improvement += s / len(self.num) ** 2
+        return improvement
 
 
 def impurity_improvement(data: Dataset, candidate: SplitCriterion,
@@ -252,109 +269,88 @@ def impurity_improvement(data: Dataset, candidate: SplitCriterion,
     scope_idx = ([names.index(n) for n in scope] if scope is not None
                  else list(range(len(names))))
     j = names.index(candidate.variable.name)
-    left = np.array([candidate.matches(float(c)) for c in data.values[:, j]])
+    left = candidate.matches(data.values[:, j])
     if not left.any() or left.all():
         raise DataError("candidate split leaves one side empty")
     sc = _Scope(data.schema, scope_idx, data.values, data.weights)
-    return sc.improvement(left)
+    sides = sc.grouped((~left).astype(np.intp), 2)
+    return float(sc.score(sides.map(lambda a: a[:1]), sides.map(lambda a: a[1:]),
+                          sc.total)[0])
 
 
 # -- candidate search --------------------------------------------------------
 
 
 def _best_numeric_split(scope: _Scope, j: int, min_weight: float):
-    """Best threshold for numeric variable ``j``: midpoints of consecutive
-    distinct sorted values, both sides at least ``min_weight``."""
+    """``(improvement, criterion)`` of the best threshold for numeric variable
+    ``j`` among midpoints of consecutive distinct sorted values with both
+    sides at least ``min_weight``, or None."""
     col = scope.values[:, j]
     order = np.argsort(col, kind="stable")
     vs = col[order]
-    ws = scope.weights[order]
-    cw = np.cumsum(ws)
+    cw = np.cumsum(scope.weights[order])
     total = cw[-1]
     boundary = np.nonzero(vs[:-1] < vs[1:])[0]
     boundary = boundary[(cw[boundary] >= min_weight)
                         & (total - cw[boundary] >= min_weight)]
     if boundary.size == 0:
-        return None, -math.inf
-    # sufficient statistics per position, for all scope variables at once
-    best_i, best_k = -math.inf, -1
-    sym_cum = {}
-    for sj in scope.sym:
-        k = len(scope.schema[sj].domain)
-        cats = scope.values[order, sj].astype(int)
-        onehot = np.zeros((len(order), k))
-        onehot[np.arange(len(order)), cats] = 1.0
-        sym_cum[sj] = np.cumsum(onehot * ws[:, None], axis=0)
-    num_cum = {}
-    for nj in scope.num:
-        x = scope.values[order, nj]
-        num_cum[nj] = (np.cumsum(ws * x), np.cumsum(ws * x * x))
-
-    wl = cw[boundary]
-    wr = total - wl
-    total_i = np.zeros(len(boundary))
-    if scope.sym:
-        s = np.zeros(len(boundary))
-        logk_cache = {}
-        for sj in scope.sym:
-            hp = scope.parent_h[sj]
-            if hp <= _PURE:
-                continue
-            k = len(scope.schema[sj].domain)
-            cl = sym_cum[sj][boundary]            # (B, k)
-            cr = sym_cum[sj][-1] - cl
-            hl = _entropy_rel_rows(cl, k)
-            hr = _entropy_rel_rows(cr, k)
-            s += hp - (wl * hl + wr * hr) / total
-        total_i += s / len(scope.sym) ** 2
-    if scope.num:
-        s = np.zeros(len(boundary))
-        for nj in scope.num:
-            mp = scope.parent_mse[nj]
-            if mp <= _PURE:
-                continue
-            c1, c2 = num_cum[nj]
-            s1l, s2l = c1[boundary], c2[boundary]
-            s1r, s2r = c1[-1] - s1l, c2[-1] - s2l
-            ml = np.maximum(s2l / wl - (s1l / wl) ** 2, 0.0)
-            mr = np.maximum(s2r / wr - (s1r / wr) ** 2, 0.0)
-            s += (mp - (wl * ml + wr * mr) / total) / mp
-        total_i += s / len(scope.num) ** 2
-
-    k = int(np.argmax(total_i))  # ties keep the lowest position index
-    i = float(total_i[k])
+        return None
+    # one group per row in sorted order, summed up: row i of ``prefix``
+    # holds the statistics of the i + 1 smallest values
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    prefix = scope.grouped(rank, len(order)).map(lambda a: np.cumsum(a, axis=0, out=a))
+    left, last = prefix.map(lambda a: a[boundary]), prefix.map(lambda a: a[[-1]])
+    del prefix  # free the per-row sums before the right sides are built
+    improvement = scope.score(left, last - left, total)
+    k = int(np.argmax(improvement))  # ties keep the lowest position index
     pos = boundary[k]
     threshold = (vs[pos] + vs[pos + 1]) / 2.0
-    return threshold, i
+    return float(improvement[k]), SplitCriterion(scope.schema[j], THRESHOLD,
+                                                 threshold=threshold)
 
 
-def _entropy_rel_rows(counts: np.ndarray, k: int) -> np.ndarray:
-    if k <= 1:
-        return np.zeros(counts.shape[0])
-    totals = counts.sum(axis=1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = np.where(totals > 0, counts / totals, 0.0)
-        logp = np.where(p > 0, np.log(p), 0.0)
-    return -(p * logp).sum(axis=1) / math.log(k)
-
-
-def _best_symbolic_split(scope: _Scope, j: int, admissible, min_weight: float):
-    """Best one-vs-rest value for symbolic variable ``j`` among the values
-    still admissible on the path."""
-    col = scope.values[:, j].astype(int)
-    best_v, best_i = -1, -math.inf
-    for v in sorted(admissible):
-        mask = col == v
-        wl = float(scope.weights[mask].sum())
-        if wl < min_weight or scope.total - wl < min_weight:
-            continue
-        i = scope.improvement(mask)
-        if i > best_i:
-            best_v, best_i = v, i
-    return best_v, best_i
+def _best_symbolic_split(scope: _Scope, j: int, path: Assignment, min_weight: float):
+    """``(improvement, criterion)`` of the best one-vs-rest value for symbolic
+    variable ``j`` among the values still admissible on ``path``, or None."""
+    k = len(scope.schema[j].domain)
+    by_value = scope.grouped(scope.values[:, j].astype(np.intp), k)
+    # each value's rest is the sum of the other values' groups rather than
+    # the node minus the value, so two values that split the rows alike tie
+    # exactly and the lower index wins
+    rest = by_value.map(lambda a: (1.0 - np.eye(k)) @ a)
+    values = np.array(sorted(path.get(scope.schema[j].name, range(k))), dtype=np.intp)
+    values = values[(by_value.w[values] >= min_weight) & (rest.w[values] >= min_weight)]
+    if values.size == 0:
+        return None
+    improvement = scope.score(by_value.map(lambda a: a[values]),
+                              rest.map(lambda a: a[values]), scope.total)
+    i = int(np.argmax(improvement))  # ties keep the lowest value index
+    return float(improvement[i]), SplitCriterion(scope.schema[j], EQUALS,
+                                                 value_index=int(values[i]))
 
 
 # -- tree construction -------------------------------------------------------
+
+
+def child_paths(path: Assignment, crit: SplitCriterion):
+    """Path constraints of the two children of a node on ``path`` split by
+    ``crit``. A symbolic constraint is the set of values still admissible.
+
+    A child region may come out empty (an interval with ``empty`` set, or
+    an empty value set); a learnt tree never has one.
+    """
+    var = crit.variable
+    if crit.kind == THRESHOLD:
+        prev = path.get(var.name, Interval(-math.inf, math.inf, True, True))
+        left = prev.intersect(Interval(-math.inf, crit.threshold, lower_open=True))
+        right = prev.intersect(
+            Interval(crit.threshold, math.inf, lower_open=True, upper_open=True))
+    else:
+        prev = path.get(var.name, frozenset(range(len(var.domain))))
+        left = prev & frozenset([crit.value_index])
+        right = prev - left
+    return {**path, var.name: left}, {**path, var.name: right}
 
 
 def learn(data: Dataset, config: LearnerConfig | None = None) -> TreeModel:
@@ -399,13 +395,12 @@ def learn(data: Dataset, config: LearnerConfig | None = None) -> TreeModel:
                 points = build_quantile_dataset(col, weights)
                 dists[var.name] = cdf_learn(points, config.epsilon)
         leaf = Leaf(index=len(leaves), prior=float(weights.sum()) / total_weight,
-                    distributions=dists, path=dict(path),
+                    distributions=dists, path=path,
                     sample_count=float(weights.sum()))
         leaves.append(leaf)
         return leaf
 
-    def build(rows: np.ndarray, path: Assignment,
-              admissible: dict, depth: int):
+    def build(rows: np.ndarray, path: Assignment, depth: int):
         values = data.values[rows]
         weights = data.weights[rows]
         w = float(weights.sum())
@@ -416,46 +411,23 @@ def learn(data: Dataset, config: LearnerConfig | None = None) -> TreeModel:
         if scope.all_pure():
             return make_leaf(rows, path)
 
-        best = None  # (improvement, criterion, left_mask)
+        best = None  # (improvement, criterion, column)
         for j in candidate_idx:
             var = schema[j]
-            if var.numeric:
-                threshold, imp = _best_numeric_split(scope, j, min_weight)
-                if threshold is not None and (best is None or imp > best[0]):
-                    crit = SplitCriterion(var, THRESHOLD, threshold=threshold)
-                    best = (imp, crit, values[:, j] <= threshold)
-            else:
-                v, imp = _best_symbolic_split(scope, j, admissible[j], min_weight)
-                if v >= 0 and (best is None or imp > best[0]):
-                    crit = SplitCriterion(var, EQUALS, value_index=v)
-                    best = (imp, crit, values[:, j].astype(int) == v)
+            found = (_best_numeric_split(scope, j, min_weight) if var.numeric
+                     else _best_symbolic_split(scope, j, path, min_weight))
+            if found is not None and (best is None or found[0] > best[0]):
+                best = (*found, j)
 
         if best is None or best[0] <= config.min_impurity_improvement:
             return make_leaf(rows, path)
 
-        _, crit, left_mask = best
-        name = crit.variable.name
-        if crit.kind == THRESHOLD:
-            prev = path.get(name, Interval(-math.inf, math.inf, True, True))
-            left_path = {**path, name: prev.intersect(
-                Interval(-math.inf, crit.threshold, lower_open=True))}
-            right_path = {**path, name: prev.intersect(
-                Interval(crit.threshold, math.inf, lower_open=True, upper_open=True))}
-            left_adm, right_adm = admissible, admissible
-        else:
-            j = names.index(name)
-            left_set = frozenset([crit.value_index])
-            right_set = frozenset(admissible[j]) - left_set
-            left_path = {**path, name: left_set}
-            right_path = {**path, name: right_set}
-            left_adm = {**admissible, j: left_set}
-            right_adm = {**admissible, j: right_set}
-
-        left = build(rows[left_mask], left_path, left_adm, depth + 1)
-        right = build(rows[~left_mask], right_path, right_adm, depth + 1)
+        _, crit, j = best
+        left_mask = crit.matches(values[:, j])
+        left_path, right_path = child_paths(path, crit)
+        left = build(rows[left_mask], left_path, depth + 1)
+        right = build(rows[~left_mask], right_path, depth + 1)
         return DecisionNode(crit, left, right)
 
-    admissible0 = {j: frozenset(range(len(schema[j].domain)))
-                   for j in range(len(schema)) if schema[j].symbolic}
-    root = build(np.arange(len(data)), {}, admissible0, 0)
+    root = build(np.arange(len(data)), {}, 0)
     return TreeModel(schema=schema, root=root, leaves=leaves, config=config)

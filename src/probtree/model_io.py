@@ -7,7 +7,7 @@ import math
 
 from .data import Interval, Variable
 from .learner import (EQUALS, THRESHOLD, DecisionNode, Leaf, LearnerConfig,
-                      SplitCriterion, TreeModel)
+                      SplitCriterion, TreeModel, child_paths)
 from .multinomial import Multinomial
 from .plcdf import DistributionError, numeric_from_json
 
@@ -59,29 +59,38 @@ def save(model: TreeModel, path) -> None:
 
 
 def loads(text: str) -> TreeModel:
+    """Parse a model document, checking the model invariants: finite
+    positive priors summing to 1, positive sample counts, valid
+    distributions, and nodes forming a tree of non-empty regions that
+    reaches every leaf exactly once."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"document: not valid JSON ({exc})") from None
-    if not isinstance(doc, dict) or doc.get("version") != FORMAT_VERSION:
-        raise ModelFormatError(
-            f"version: expected {FORMAT_VERSION}, got {doc.get('version')!r}"
-            if isinstance(doc, dict) else "document: not a JSON object")
+    if not isinstance(doc, dict):
+        raise ModelFormatError("document: not a JSON object")
+    if type(doc.get("version")) is not int or doc["version"] != FORMAT_VERSION:
+        raise ModelFormatError(f"version: expected {FORMAT_VERSION}, "
+                               f"got {doc.get('version')!r}")
 
     try:
         schema = tuple(Variable.from_json(v) for v in doc["schema"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"schema: {exc}") from None
     by_name = {v.name: v for v in schema}
+    if len(by_name) != len(schema):
+        raise ModelFormatError("schema: duplicate variable names")
 
     try:
         config = LearnerConfig.from_json(doc.get("config", {}))
-    except (TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"config: {exc}") from None
 
     leaves = []
     try:
         for k, entry in enumerate(doc["leaves"]):
+            if not isinstance(entry["distributions"], dict):
+                raise ModelFormatError(f"leaves[{k}]: distributions must be an object")
             dists = {}
             for name, dj in entry["distributions"].items():
                 if name not in by_name:
@@ -92,67 +101,71 @@ def loads(text: str) -> TreeModel:
             missing = set(by_name) - set(dists)
             if missing:
                 raise ModelFormatError(f"leaves[{k}]: missing distributions for {sorted(missing)}")
-            leaves.append(Leaf(index=k, prior=float(entry["prior"]),
-                               distributions=dists, path={},
-                               sample_count=float(entry["sample_count"])))
+            prior, count = float(entry["prior"]), float(entry["sample_count"])
+            if not (0 < prior < math.inf and 0 < count < math.inf):
+                raise ModelFormatError(f"leaves[{k}]: prior and sample_count must be "
+                                       f"finite and positive")
+            leaves.append(Leaf(index=k, prior=prior, distributions=dists, path={},
+                               sample_count=count))
     except ModelFormatError:
         raise
     except (KeyError, TypeError, ValueError, DistributionError) as exc:
         raise ModelFormatError(f"leaves: {exc}") from None
 
     total_prior = sum(leaf.prior for leaf in leaves)
-    if not leaves or abs(total_prior - 1.0) > 1e-9 or any(l.prior <= 0 for l in leaves):
+    if not leaves or abs(total_prior - 1.0) > 1e-9:
         raise ModelFormatError(f"leaves: priors must be positive and sum to 1, got {total_prior}")
 
     nodes = doc.get("nodes")
     if not isinstance(nodes, list) or not nodes:
         raise ModelFormatError("nodes: missing or empty")
 
-    seen_leaves = set()
+    visited, seen_leaves = set(), set()
 
-    def decode(idx: int, path: dict, admissible: dict):
+    def decode(idx, path: dict):
+        if not _is_index(idx, len(nodes)) or idx in visited:
+            raise ModelFormatError(f"nodes[{idx}]: out of range or reached twice")
+        visited.add(idx)
         try:
             entry = nodes[idx]
-        except (IndexError, TypeError):
-            raise ModelFormatError(f"nodes[{idx}]: out of range") from None
-        try:
             if entry["type"] == "leaf":
-                leaf = leaves[entry["leaf"]]
-                if entry["leaf"] in seen_leaves:
-                    raise ModelFormatError(f"nodes[{idx}]: leaf {entry['leaf']} referenced twice")
-                seen_leaves.add(entry["leaf"])
-                leaf.path = dict(path)
-                return leaf
-            var = by_name[entry["var"]]
-            if entry["op"] == "le":
-                t = float(entry["value"])
-                crit = SplitCriterion(var, THRESHOLD, threshold=t)
-                prev = path.get(var.name, Interval(-math.inf, math.inf, True, True))
-                lp = {**path, var.name: prev.intersect(Interval(-math.inf, t, lower_open=True))}
-                rp = {**path, var.name: prev.intersect(
-                    Interval(t, math.inf, lower_open=True, upper_open=True))}
-                la, ra = admissible, admissible
+                k = entry["leaf"]
+                if not _is_index(k, len(leaves)) or k in seen_leaves:
+                    raise ModelFormatError(f"nodes[{idx}]: leaf {k!r} out of range or "
+                                           f"referenced twice")
+                seen_leaves.add(k)
+                leaves[k].path = path
+                return leaves[k]
+            var, op, value = by_name[entry["var"]], entry["op"], entry["value"]
+            if op == "le" and var.numeric and math.isfinite(float(value)):
+                crit = SplitCriterion(var, THRESHOLD, threshold=float(value))
+            elif op == "eq" and var.symbolic:
+                crit = SplitCriterion(var, EQUALS, value_index=var.index_of(value))
             else:
-                vi = var.index_of(entry["value"])
-                crit = SplitCriterion(var, EQUALS, value_index=vi)
-                cur = admissible.get(var.name, frozenset(range(len(var.domain))))
-                ls, rs = frozenset([vi]), cur - frozenset([vi])
-                if not rs:
-                    raise ModelFormatError(f"nodes[{idx}]: split exhausts the domain of {var.name!r}")
-                lp, rp = {**path, var.name: ls}, {**path, var.name: rs}
-                la, ra = {**admissible, var.name: ls}, {**admissible, var.name: rs}
-            left = decode(entry["left"], lp, la)
-            right = decode(entry["right"], rp, ra)
-            return DecisionNode(crit, left, right)
+                raise ModelFormatError(f"nodes[{idx}]: cannot split {var.kind} "
+                                       f"{var.name!r} by {op!r} {value!r}")
+            lp, rp = child_paths(path, crit)
+            if any(not r or isinstance(r, Interval) and r.empty
+                   for r in (lp[var.name], rp[var.name])):
+                raise ModelFormatError(f"nodes[{idx}]: {crit.label()!r} has an empty child region")
+            return DecisionNode(crit, decode(entry["left"], lp), decode(entry["right"], rp))
         except ModelFormatError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelFormatError(f"nodes[{idx}]: {exc}") from None
 
-    root = decode(0, {}, {})
+    try:
+        root = decode(0, {})
+    except RecursionError:
+        raise ModelFormatError("nodes: tree too deep to decode") from None
     if len(seen_leaves) != len(leaves):
         raise ModelFormatError("nodes: tree does not reference every leaf exactly once")
     return TreeModel(schema=schema, root=root, leaves=leaves, config=config)
+
+
+def _is_index(value, n: int) -> bool:
+    """Whether a JSON value is an integer (not a boolean) in [0, n)."""
+    return type(value) is int and 0 <= value < n
 
 
 def load(path) -> TreeModel:

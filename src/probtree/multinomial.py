@@ -10,6 +10,20 @@ from .data import Variable
 from .plcdf import DistributionError
 
 
+def entropy_rel(counts) -> np.ndarray:
+    """Entropy of each row of ``counts`` (shape ``(..., k)``) divided by
+    ``log k``; an all-zero row and a single-value domain count as pure (0)."""
+    counts = np.asarray(counts, dtype=float)
+    k = counts.shape[-1]
+    if k <= 1:
+        return np.zeros(counts.shape[:-1])
+    totals = counts.sum(axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.where(totals > 0, counts / totals, 0.0)
+        logp = np.where(p > 0, np.log(p), 0.0)
+    return -(p * logp).sum(axis=-1) / math.log(k)
+
+
 class Multinomial:
     """Probability table aligned with a symbolic variable's domain order."""
 
@@ -43,12 +57,7 @@ class Multinomial:
 
         A single-value domain is defined as perfectly pure (0).
         """
-        k = len(self.p)
-        if k == 1:
-            return 0.0
-        nz = self.p[self.p > 0]
-        h = float(-(nz * np.log(nz)).sum())
-        return h / math.log(k)
+        return float(entropy_rel(self.p))
 
     def condition(self, admissible) -> "Multinomial":
         """Zero out inadmissible values and renormalize."""

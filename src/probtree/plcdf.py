@@ -10,7 +10,6 @@ below a tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,23 +18,11 @@ class DistributionError(ValueError):
     """Raised for invalid distribution parameters or undefined operations."""
 
 
-@dataclass(frozen=True)
-class QuantilePoint:
-    """One point of the empirical quantile curve: value and its quantile in (0, 1]."""
-
-    value: float
-    quantile: float
-
-    def __post_init__(self):
-        if not (0.0 < self.quantile <= 1.0):
-            raise DistributionError(f"quantile {self.quantile} outside (0, 1]")
-
-
-def build_quantile_dataset(samples, weights=None) -> list[QuantilePoint]:
-    """Turn weighted samples into sorted quantile points.
-
-    Duplicate values collapse to a single point carrying the cumulative
-    quantile of the last duplicate. The last quantile is exactly 1.
+def build_quantile_dataset(samples, weights=None) -> tuple[np.ndarray, np.ndarray]:
+    """Turn weighted samples into the empirical quantile curve
+    ``(values, quantiles)``: sorted distinct values and their cumulative
+    weight shares. Duplicates collapse to one point carrying the quantile
+    of the last duplicate. The last quantile is exactly 1.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 1 or samples.size == 0:
@@ -56,7 +43,7 @@ def build_quantile_dataset(samples, weights=None) -> list[QuantilePoint]:
     keep = np.append(xs[1:] != xs[:-1], True)
     gamma = cw[keep] / total
     gamma[-1] = 1.0
-    return [QuantilePoint(float(x), float(g)) for x, g in zip(xs[keep], gamma)]
+    return xs[keep], gamma
 
 
 class Dirac:
@@ -276,14 +263,14 @@ def _chord_sse(prefix, a: int, b: int, d: np.ndarray, g: np.ndarray):
     the endpoint points, for a vector of (a, b) pairs or scalars."""
     s1, sd, sg, sd2, sdg, sg2 = prefix
     n = b - a + 1
-    m = (g[b] - g[a]) / (d[b] - d[a])
-    c = g[a] - m * d[a]
     S_g2 = sg2[b + 1] - sg2[a]
     S_dg = sdg[b + 1] - sdg[a]
     S_g = sg[b + 1] - sg[a]
     S_d2 = sd2[b + 1] - sd2[a]
     S_d = sd[b + 1] - sd[a]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        m = (g[b] - g[a]) / (d[b] - d[a])
+        c = g[a] - m * d[a]
         sse = (S_g2 - 2.0 * m * S_dg - 2.0 * c * S_g
                + m * m * S_d2 + 2.0 * m * c * S_d + c * c * n)
     # near-coincident abscissae can overflow the closed form; such chords
@@ -291,8 +278,9 @@ def _chord_sse(prefix, a: int, b: int, d: np.ndarray, g: np.ndarray):
     return np.where(np.isfinite(sse), np.maximum(sse, 0.0), np.inf), n
 
 
-def cdf_learn(points: list[QuantilePoint], epsilon: float) -> "PiecewiseLinearCDF | Dirac":
-    """Fit a piecewise-linear CDF to sorted quantile points.
+def cdf_learn(points, epsilon: float) -> "PiecewiseLinearCDF | Dirac":
+    """Fit a piecewise-linear CDF to the quantile curve ``(values, quantiles)``
+    that ``build_quantile_dataset`` returns.
 
     Recursively splits the quantile curve at the point minimizing the
     count-weighted mean squared error of the two chord fits, until a
@@ -302,10 +290,11 @@ def cdf_learn(points: list[QuantilePoint], epsilon: float) -> "PiecewiseLinearCD
     """
     if epsilon < 0:
         raise DistributionError("epsilon must be >= 0")
-    if not points:
-        raise DistributionError("need at least one quantile point")
-    d = np.array([p.value for p in points], dtype=float)
-    g = np.array([p.quantile for p in points], dtype=float)
+    d, g = (np.asarray(a, dtype=float) for a in points)
+    if d.ndim != 1 or d.shape != g.shape or d.size == 0:
+        raise DistributionError("need equal-length, non-empty value and quantile arrays")
+    if not np.all((g > 0.0) & (g <= 1.0)):
+        raise DistributionError("quantiles must lie in (0, 1]")
     if len(d) == 1:
         return Dirac(d[0])
     if np.any(np.diff(d) <= 0):

@@ -128,8 +128,7 @@ def test_criterion_2_interpolation(capsys):
         fit = cdf_learn(pts, 0.0)
         if not isinstance(fit, PiecewiseLinearCDF):
             continue
-        d = np.array([p.value for p in pts])
-        g = np.array([p.quantile for p in pts])
+        d, g = pts
         worst = max(worst, float(np.max(np.abs(fit.cdf_vec(d) - g))))
     report(capsys, 2, "epsilon-zero interpolation", worst <= 1e-12,
            f"100 sample sets, max residual = {worst:.2e} (tolerance 1e-12)")

@@ -5,7 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
-from probtree import ingest_csv
+from probtree import Dataset, ingest_csv, load, log_likelihood
 from probtree.cli import main
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
@@ -122,6 +122,42 @@ class TestLikelihood:
         out = json.loads(capsys.readouterr().out)
         assert out["zero_fraction"] == 0.0
         assert np.isfinite(out["avg_loglik"])
+
+
+    @pytest.fixture()
+    def abc_model(self, tmp_path):
+        data = tmp_path / "train.csv"
+        rows = ["x,s"] + [f"{i % 7}.{i % 3},{'abc'[i % 3]}" for i in range(60)]
+        data.write_text("\n".join(rows) + "\n")
+        model = tmp_path / "abc.json"
+        assert main(["train", "--data", str(data), "--out", str(model),
+                     "--min-samples-leaf", "0.2"]) == 0
+        return model
+
+    def test_labels_scored_in_model_domain(self, abc_model, tmp_path, capsys):
+        holdout = tmp_path / "bc.csv"  # lacks label a, so its own domain is (b, c)
+        holdout.write_text("x,s\n1.1,b\n2.2,c\n4.0,b\n5.0,b\n")
+        capsys.readouterr()
+        assert main(["likelihood", "--model", str(abc_model),
+                     "--data", str(holdout), "--json"]) == 0
+        got = json.loads(capsys.readouterr().out)
+        model = load(abc_model)
+        rows = Dataset(model.schema, [[1.1, 1], [2.2, 2], [4.0, 1], [5.0, 1]])
+        assert (got["avg_loglik"], got["zero_fraction"]) == log_likelihood(model, rows)
+
+    def test_unknown_label_exits_1(self, abc_model, tmp_path, capsys):
+        holdout = tmp_path / "z.csv"
+        holdout.write_text("x,s\n1.1,b\n2.2,z\n")
+        assert main(["likelihood", "--model", str(abc_model),
+                     "--data", str(holdout)]) == 1
+        assert "'z'" in capsys.readouterr().err
+
+    def test_missing_column_exits_1(self, abc_model, tmp_path, capsys):
+        holdout = tmp_path / "s_only.csv"
+        holdout.write_text("s\nb\n")
+        assert main(["likelihood", "--model", str(abc_model),
+                     "--data", str(holdout)]) == 1
+        assert "'x'" in capsys.readouterr().err
 
 
 class TestSample:

@@ -199,6 +199,23 @@ class TestExpectationQuery:
         assert mean == pytest.approx(1.0)
         assert lo <= mean <= hi
 
+    def test_exact_mixture_mean(self):
+        # each leaf has a point mass of 0.5 at its first hinge; the mean of a
+        # merged CDF that spreads those masses over the gap would be 1.125
+        c = Variable("c", "symbolic", ("a", "b"))
+        schema = (Variable("x", "numeric"), c)
+        leaves = [
+            Leaf(0, 0.5, {"x": PiecewiseLinearCDF([[0, .5], [1, 1]]),
+                          "c": Multinomial(c, [1.0, 0.0])}, {"c": frozenset({0})}, 2),
+            Leaf(1, 0.5, {"x": PiecewiseLinearCDF([[2, .5], [3, 1]]),
+                          "c": Multinomial(c, [0.0, 1.0])}, {"c": frozenset({1})}, 2),
+        ]
+        root = DecisionNode(SplitCriterion(c, EQUALS, value_index=0), *leaves)
+        model = TreeModel(schema, root, leaves, LearnerConfig())
+        mean, lo, hi = expectation_query(model, "x")
+        assert mean == pytest.approx(1.25, abs=1e-12)
+        assert lo <= mean <= hi
+
     def test_symbolic_target_rejected(self, iris_model):
         with pytest.raises(AssignmentError):
             expectation_query(iris_model, "species")
@@ -274,6 +291,13 @@ class TestLogLikelihood:
         avg, zero_frac = log_likelihood(toy_hybrid_model, ds)
         assert zero_frac == 1.0
         assert math.isnan(avg)
+
+    def test_symbolic_domain_must_match(self, toy_hybrid_model):
+        x, color = toy_hybrid_model.schema
+        recoded = Variable("color", "symbolic", ("red", "blue"))
+        ds = Dataset((x, recoded), np.array([[0.5, 0.0]]))
+        with pytest.raises(AssignmentError):
+            log_likelihood(toy_hybrid_model, ds)
 
     def test_training_data_has_full_support(self, iris, iris_model):
         avg, zero_frac = log_likelihood(iris_model, iris)

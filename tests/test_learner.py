@@ -4,7 +4,8 @@ import pytest
 from probtree import (DataError, Dataset, Dirac, Interval, Leaf, LearnerConfig,
                       Multinomial, PiecewiseLinearCDF, SplitCriterion,
                       TreeModel, Variable, impurity_improvement, learn)
-from probtree.learner import EQUALS, THRESHOLD
+from probtree.learner import (EQUALS, THRESHOLD, _best_numeric_split,
+                              _best_symbolic_split, _Scope)
 
 from conftest import random_discrete_dataset
 
@@ -50,6 +51,99 @@ class TestImpurityImprovement:
         object.__setattr__(cand, "threshold", -1.0)
         with pytest.raises(DataError):
             impurity_improvement(ds, cand)
+
+
+def random_mixed_dataset(rng, weighted):
+    n = int(rng.integers(20, 120))
+    schema, cols = [], []
+    for j in range(int(rng.integers(1, 4))):
+        schema.append(Variable(f"x{j}", "numeric"))
+        cols.append(np.round(rng.normal(rng.uniform(-5, 5), rng.uniform(0.5, 3), n), 1))
+    for j in range(int(rng.integers(1, 4))):
+        k = int(rng.integers(1, 6))
+        schema.append(Variable(f"s{j}", "symbolic", tuple(f"v{i}" for i in range(k))))
+        cols.append(rng.integers(0, k, n).astype(float))
+    weights = rng.uniform(0.1, 3.0, n) if weighted else None
+    return Dataset(tuple(schema), np.column_stack(cols), weights)
+
+
+def reference_improvement(ds, left, scope):
+    """Masked two-pass scoring: bincount entropy, mean-then-variance MSE."""
+    w, total = ds.weights, ds.weights.sum()
+    sides = [(w[left].sum(), left), (w[~left].sum(), ~left)]
+    everything = np.ones(len(ds), dtype=bool)
+
+    def entropy(j, mask):
+        k = len(ds.schema[j].domain)
+        if k == 1:
+            return 0.0
+        c = np.bincount(ds.values[mask, j].astype(int), weights=w[mask], minlength=k)
+        p = c[c > 0] / c.sum()
+        return -(p * np.log(p)).sum() / np.log(k)
+
+    def mse(j, mask):
+        x, ww = ds.values[mask, j], w[mask]
+        mean = (ww * x).sum() / ww.sum()
+        return (ww * (x - mean) ** 2).sum() / ww.sum()
+
+    out = 0.0
+    sym = [j for j in scope if ds.schema[j].symbolic]
+    num = [j for j in scope if ds.schema[j].numeric]
+    if sym:
+        gains = [entropy(j, everything) - sum(ws * entropy(j, m) for ws, m in sides) / total
+                 for j in sym if entropy(j, everything) > 1e-12]
+        out += sum(gains) / len(sym) ** 2
+    if num:
+        gains = [1 - sum(ws * mse(j, m) for ws, m in sides) / total / mse(j, everything)
+                 for j in num if mse(j, everything) > 1e-12]
+        out += sum(gains) / len(num) ** 2
+    return out
+
+
+class TestScorerReference:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_masked_two_pass(self, seed):
+        rng = np.random.default_rng(seed)
+        ds = random_mixed_dataset(rng, weighted=seed % 2 == 1)
+        names = [v.name for v in ds.schema]
+        scopes = [list(range(len(names))),
+                  sorted(rng.choice(len(names), int(rng.integers(1, len(names) + 1)),
+                                    replace=False).tolist())]
+        checked = 0
+        for _ in range(20):
+            j = int(rng.integers(len(names)))
+            var, col = ds.schema[j], ds.values[:, j]
+            if var.numeric:
+                cand = SplitCriterion(var, THRESHOLD, threshold=float(rng.choice(col)))
+            else:
+                cand = SplitCriterion(var, EQUALS, value_index=int(rng.choice(col)))
+            left = cand.matches(col)
+            if left.all() or not left.any():
+                continue
+            for scope in scopes:
+                got = impurity_improvement(ds, cand, scope=[names[i] for i in scope])
+                assert got == pytest.approx(reference_improvement(ds, left, scope),
+                                            rel=0, abs=1e-12)
+                checked += 1
+        assert checked > 0
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_search_scores_match_reference(self, seed):
+        # the best candidate of each variable, as the search scores it
+        # (prefix sums for numeric, per-value groups for symbolic)
+        rng = np.random.default_rng(1000 + seed)
+        ds = random_mixed_dataset(rng, weighted=seed % 2 == 1)
+        everything = list(range(len(ds.schema)))
+        scope = _Scope(ds.schema, everything, ds.values, ds.weights)
+        for j, var in enumerate(ds.schema):
+            found = (_best_numeric_split(scope, j, 2.0) if var.numeric else
+                     _best_symbolic_split(scope, j, {}, 2.0))
+            if found is None:
+                continue
+            imp, crit = found
+            left = crit.matches(ds.values[:, j])
+            assert imp == pytest.approx(reference_improvement(ds, left, everything),
+                                        rel=0, abs=1e-12)
 
 
 class TestConfig:

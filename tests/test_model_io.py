@@ -1,5 +1,9 @@
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -150,3 +154,94 @@ class TestDot:
             if hasattr(node, "criterion"):
                 assert node.criterion.variable.name in text
                 stack.extend([node.left, node.right])
+
+
+def small_model_doc():
+    """s = a ? leaf 0 : (x <= 5 ? leaf 1 : leaf 2), as a model document."""
+    def leaf(prior, x):
+        return {"prior": prior, "sample_count": 4 * prior,
+                "distributions": {"x": {"dirac": x},
+                                  "s": {"domain": ["a", "b", "c"], "p": [0.2, 0.3, 0.5]}}}
+
+    return {
+        "version": 1,
+        "schema": [{"name": "x", "kind": "numeric"},
+                   {"name": "s", "kind": "symbolic", "domain": ["a", "b", "c"]}],
+        "config": LearnerConfig().to_json(),
+        "nodes": [{"type": "split", "var": "s", "op": "eq", "value": "a", "left": 1, "right": 2},
+                  {"type": "leaf", "leaf": 0},
+                  {"type": "split", "var": "x", "op": "le", "value": 5.0, "left": 3, "right": 4},
+                  {"type": "leaf", "leaf": 1},
+                  {"type": "leaf", "leaf": 2}],
+        "leaves": [leaf(0.5, 1.0), leaf(0.25, 2.0), leaf(0.25, 6.0)],
+    }
+
+
+def _nested_threshold(doc):
+    # x <= 7 below x <= 5: its right child is (7, 5], an empty region
+    doc["nodes"][3] = {"type": "split", "var": "x", "op": "le", "value": 7.0,
+                       "left": 5, "right": 6}
+    doc["nodes"] += [{"type": "leaf", "leaf": 1}, {"type": "leaf", "leaf": 3}]
+    doc["leaves"][1]["prior"] = 0.125
+    doc["leaves"].append(dict(doc["leaves"][1]))
+
+
+MALFORMED = {
+    "self-loop": lambda d: d["nodes"][2].update(left=2),
+    "cycle-to-root": lambda d: d["nodes"][2].update(right=0),
+    "distributions-list": lambda d: d["leaves"][0].update(distributions=[]),
+    "nan-prior": lambda d: d["leaves"][0].update(prior=float("nan")),
+    "inf-sample-count": lambda d: d["leaves"][0].update(sample_count=float("inf")),
+    "zero-sample-count": lambda d: d["leaves"][0].update(sample_count=0),
+    "nan-threshold": lambda d: d["nodes"][2].update(value=float("nan")),
+    "version-true": lambda d: d.update(version=True),
+    "duplicate-schema-name": lambda d: d["schema"].append({"name": "x", "kind": "numeric"}),
+    # leaf -3 aliases leaf 0, so leaf 0 is reached twice and leaf 1 never
+    "negative-leaf-index": lambda d: d["nodes"][3].update(leaf=-3),
+    "nested-threshold-empty-region": _nested_threshold,
+    # s = a below the branch where s != a: the left child is empty
+    "excluded-value-empty-region": lambda d: d["nodes"][2].update(op="eq", var="s", value="a"),
+}
+
+
+class TestMalformedModels:
+    def test_base_document_loads(self):
+        model = loads(json.dumps(small_model_doc()))
+        assert len(model.leaves) == 3
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_rejected(self, case):
+        doc = small_model_doc()
+        MALFORMED[case](doc)
+        with pytest.raises(ModelFormatError):
+            loads(json.dumps(doc))
+
+    def test_too_deep_tree_rejected(self):
+        # x <= 1200 ? (x <= 1199 ? (...) : leaf) : leaf, 1200 splits deep
+        depth = 1200
+        doc = small_model_doc()
+        leaf = doc["leaves"][0]
+        doc["leaves"] = [{**leaf, "prior": 1 / (depth + 1)} for _ in range(depth + 1)]
+        doc["nodes"] = []
+        for i in range(depth):
+            doc["nodes"] += [{"type": "split", "var": "x", "op": "le", "value": depth - i,
+                              "left": 2 * i + 2, "right": 2 * i + 1},
+                             {"type": "leaf", "leaf": i}]
+        doc["nodes"].append({"type": "leaf", "leaf": depth})
+        with pytest.raises(ModelFormatError, match="too deep"):
+            loads(json.dumps(doc))
+
+    def test_cli_exits_1_without_traceback(self, tmp_path):
+        doc = small_model_doc()
+        MALFORMED["self-loop"](doc)
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps(doc))
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "probtree.cli", "query", "--model", str(path),
+             "--q", "s = a"], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probtree import (Dirac, DistributionError, PiecewiseLinearCDF,
-                      QuantilePoint, build_quantile_dataset, cdf_learn)
+                      build_quantile_dataset, cdf_learn)
 
 from conftest import random_plf
 
@@ -15,21 +16,21 @@ UNIFORM = PiecewiseLinearCDF([[0.0, 0.0], [1.0, 1.0]])
 
 class TestBuildQuantileDataset:
     def test_equal_weights(self):
-        pts = build_quantile_dataset([1, 2, 3, 4])
-        assert [(p.value, p.quantile) for p in pts] == [
-            (1.0, 0.25), (2.0, 0.5), (3.0, 0.75), (4.0, 1.0)]
+        values, quantiles = build_quantile_dataset([1, 2, 3, 4])
+        assert values.tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert quantiles.tolist() == [0.25, 0.5, 0.75, 1.0]
 
     def test_single_sample(self):
-        pts = build_quantile_dataset([5])
-        assert [(p.value, p.quantile) for p in pts] == [(5.0, 1.0)]
+        values, quantiles = build_quantile_dataset([5])
+        assert (values.tolist(), quantiles.tolist()) == ([5.0], [1.0])
 
     def test_duplicate_collapse(self):
-        pts = build_quantile_dataset([2, 2, 3])
-        assert [(p.value, p.quantile) for p in pts] == [(2.0, 2 / 3), (3.0, 1.0)]
+        values, quantiles = build_quantile_dataset([2, 2, 3])
+        assert (values.tolist(), quantiles.tolist()) == ([2.0, 3.0], [2 / 3, 1.0])
 
     def test_weighted(self):
-        pts = build_quantile_dataset([1, 2], weights=[3, 1])
-        assert [(p.value, p.quantile) for p in pts] == [(1.0, 0.75), (2.0, 1.0)]
+        values, quantiles = build_quantile_dataset([1, 2], weights=[3, 1])
+        assert (values.tolist(), quantiles.tolist()) == ([1.0, 2.0], [0.75, 1.0])
 
     def test_empty_rejected(self):
         with pytest.raises(DistributionError):
@@ -41,37 +42,55 @@ class TestBuildQuantileDataset:
 
     def test_last_quantile_exact_one(self):
         rng = np.random.default_rng(0)
-        pts = build_quantile_dataset(rng.random(373), weights=rng.random(373) + 0.1)
-        assert pts[-1].quantile == 1.0
+        _, quantiles = build_quantile_dataset(rng.random(373), weights=rng.random(373) + 0.1)
+        assert quantiles[-1] == 1.0
 
 
 class TestCdfLearn:
     def test_linear_data_two_hinges(self):
-        pts = [QuantilePoint(v, v) for v in np.linspace(0.1, 1.0, 20)]
-        plf = cdf_learn(pts, 0.01)
+        v = np.linspace(0.1, 1.0, 20)
+        plf = cdf_learn((v, v), 0.01)
         assert plf.parameter_count() == 2
 
     def test_epsilon_zero_interpolates(self):
         pts = build_quantile_dataset([1, 2, 3, 4])
         plf = cdf_learn(pts, 0.0)
         assert plf.parameter_count() == 4
-        for p in pts:
-            assert plf.cdf(p.value) == pytest.approx(p.quantile, abs=1e-12)
+        for value, quantile in zip(*pts):
+            assert plf.cdf(value) == pytest.approx(quantile, abs=1e-12)
 
     def test_single_point_is_dirac(self):
-        d = cdf_learn([QuantilePoint(5.0, 1.0)], 0.05)
+        d = cdf_learn(([5.0], [1.0]), 0.05)
         assert d == Dirac(5.0)
 
     def test_negative_epsilon(self):
         with pytest.raises(DistributionError):
-            cdf_learn([QuantilePoint(1.0, 1.0)], -0.1)
+            cdf_learn(([1.0], [1.0]), -0.1)
+
+    @pytest.mark.parametrize("points", [
+        ([], []),
+        ([1.0, 2.0], [1.0]),
+        ([2.0, 1.0], [0.5, 1.0]),
+        ([1.0, 2.0], [0.5, 0.5]),
+        ([1.0, 2.0], [0.5, 0.9]),
+        ([1.0, 2.0], [0.0, 1.0]),
+        ([1.0], [1.5]),
+    ])
+    def test_malformed_points_rejected(self, points):
+        with pytest.raises(DistributionError):
+            cdf_learn(points, 0.05)
+
+    def test_near_coincident_values_warn_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plf = cdf_learn(build_quantile_dataset([0.0, 5e-324, 1.0, 2.0]), 0.0)
+        assert plf.parameter_count() == 4
 
     def test_residual_dominance(self):
         # total squared residual is non-increasing as epsilon decreases
         rng = np.random.default_rng(5)
         pts = build_quantile_dataset(rng.standard_normal(300))
-        d = np.array([p.value for p in pts])
-        g = np.array([p.quantile for p in pts])
+        d, g = pts
         prev = None
         for eps in (0.5, 0.1, 0.02, 0.005, 0.0):
             plf = cdf_learn(pts, eps)
