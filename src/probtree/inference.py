@@ -15,7 +15,7 @@ import numpy as np
 from .data import Assignment, AssignmentError, Dataset, Interval
 from .learner import Leaf, TreeModel
 from .multinomial import Multinomial
-from .plcdf import Dirac, DistributionError, PiecewiseLinearCDF
+from .plcdf import Dirac, PiecewiseLinearCDF
 
 
 class ZeroEvidenceError(ValueError):
@@ -54,33 +54,30 @@ def _path_compatible(leaf: Leaf, e: Assignment) -> bool:
     return True
 
 
-def _evidence_factor(dist, constraint) -> float:
-    """P(e_i | leaf): interval mass, density for point evidence, or event mass."""
+def _mass(dist, constraint) -> float:
+    """P(constraint | dist): interval mass or value-set mass."""
     if isinstance(constraint, Interval):
-        if constraint.is_point:
-            return dist.density(constraint.lower)
         return dist.interval_probability(constraint.lower, constraint.upper)
     return dist.event_probability(constraint)
 
 
+def _evidence_factor(dist, constraint) -> float:
+    """P(e_i | leaf): density for point evidence, otherwise the mass."""
+    if isinstance(constraint, Interval) and constraint.is_point:
+        return dist.density(constraint.lower)
+    return _mass(dist, constraint)
+
+
 def _condition(dist, constraint):
-    """Leaf distribution conditioned on one evidence constraint, or None if
-    the constrained mass is zero."""
+    """Leaf distribution conditioned on one evidence constraint of positive
+    mass under it; a zero mass raises DistributionError."""
     if constraint is None:
         return dist
     if isinstance(constraint, Interval):
-        if isinstance(dist, Dirac):
-            return dist if constraint.contains(dist.value) else None
         if constraint.is_point:
-            return Dirac(constraint.lower) if dist.density(constraint.lower) > 0 else None
-        try:
-            return dist.crop(constraint.lower, constraint.upper)
-        except DistributionError:
-            return None
-    try:
-        return dist.condition(constraint)
-    except DistributionError:
-        return None
+            return Dirac(constraint.lower)
+        return dist.crop(constraint.lower, constraint.upper)
+    return dist.condition(constraint)
 
 
 def leaf_posterior(model: TreeModel, e: Assignment | None = None,
@@ -120,39 +117,38 @@ def _zero_explanation(model: TreeModel, e: Assignment) -> str:
     return f"evidence has zero probability under the model: {detail}"
 
 
+def _conditioned(model: TreeModel, e: Assignment | None, names):
+    """The leaves with positive posterior P(leaf | e): their posteriors as
+    floats, and for each such leaf its distributions of ``names``
+    conditioned on ``e``."""
+    posterior = leaf_posterior(model, e)
+    e = e or {}
+    weights, dists = [], []
+    for k in np.flatnonzero(posterior):
+        leaf = model.leaves[k]
+        weights.append(float(posterior[k]))
+        dists.append({name: _condition(leaf.distributions[name], e.get(name))
+                      for name in names})
+    return weights, dists
+
+
 def event_probability(model: TreeModel, q: Assignment,
                       e: Assignment | None = None) -> float:
     """Posterior query mass P(q | e), mixed over the leaf posterior."""
     q = _validate(model, q, "query")
-    posterior = leaf_posterior(model, e)
-    e = e or {}
+    weights, dists = _conditioned(model, e, q)
     total = 0.0
-    for k, leaf in enumerate(model.leaves):
-        if posterior[k] == 0.0:
-            continue
-        factor = posterior[k]
+    for factor, d in zip(weights, dists):
         for name, constraint in q.items():
-            dist = _condition(leaf.distributions[name], e.get(name))
-            if dist is None:
-                factor = 0.0
-                break
-            if isinstance(constraint, Interval):
-                factor *= dist.interval_probability(constraint.lower, constraint.upper)
-            else:
-                factor *= dist.event_probability(constraint)
-            if factor == 0.0:
-                break
+            factor *= _mass(d[name], constraint)
         total += factor
     return min(1.0, max(0.0, total))
 
 
 def _merge_numeric(components) -> "PiecewiseLinearCDF | Dirac":
-    """Exact mixture of piecewise-linear/Dirac components as one CDF."""
-    components = [(w, d) for w, d in components if w > 0.0]
-    if all(isinstance(d, Dirac) for _, d in components):
-        values = {d.value for _, d in components}
-        if len(values) == 1:
-            return Dirac(values.pop())
+    """Positively weighted piecewise-linear/Dirac components as one CDF,
+    interpolated linearly between their hinges. Not the exact mixture: each
+    component's point mass at its first hinge is spread over the gap before."""
     xs = np.unique(np.concatenate([
         np.asarray(d.x) if isinstance(d, PiecewiseLinearCDF) else np.array([d.value])
         for _, d in components]))
@@ -170,31 +166,14 @@ def _merge_numeric(components) -> "PiecewiseLinearCDF | Dirac":
     return PiecewiseLinearCDF(np.column_stack([xs, F]))
 
 
-def _components(model: TreeModel, posterior: np.ndarray, e: Assignment, var) -> list:
-    """``(P(leaf | e), leaf distribution of var conditioned on e)`` for every
-    leaf with positive posterior."""
-    comps = []
-    for k, leaf in enumerate(model.leaves):
-        if posterior[k] == 0.0:
-            continue
-        dist = _condition(leaf.distributions[var.name], e.get(var.name))
-        if dist is None:
-            # conditioned mass is zero although the evidence factor was
-            # positive: cannot happen, the leaf weight would be zero
-            raise AssertionError("inconsistent leaf conditioning")
-        comps.append((float(posterior[k]), dist))
-    return comps
-
-
 def posterior_distributions(model: TreeModel, e: Assignment | None = None) -> dict:
     """Per-variable posterior marginals given evidence, as superimposed
     leaf distributions (merged PLF / Dirac for numeric, histogram mixture
     for symbolic)."""
-    posterior = leaf_posterior(model, e)
-    e = e or {}
+    weights, dists = _conditioned(model, e, [var.name for var in model.schema])
     out = {}
     for var in model.schema:
-        comps = _components(model, posterior, e, var)
+        comps = [(w, d[var.name]) for w, d in zip(weights, dists)]
         if var.numeric:
             out[var.name] = _merge_numeric(comps)
         else:
@@ -217,7 +196,7 @@ def expectation_query(model: TreeModel, target: str,
     if not var.numeric:
         raise AssignmentError(
             f"{target!r} is symbolic; use posterior_distributions instead")
-    comps = _components(model, leaf_posterior(model, e), e or {}, var)
+    comps = [(w, d[target]) for w, d in zip(*_conditioned(model, e, [target]))]
     mean = sum(w * d.expectation() for w, d in comps)
     l, u = _merge_numeric(comps).confidence_interval(theta)
     return mean, min(l, mean), max(u, mean)
@@ -240,19 +219,12 @@ def mpe(model: TreeModel, e: Assignment | None = None):
     (continuous); it is only comparable between candidates under the same
     evidence. Ties break to the lowest leaf index.
     """
-    posterior = leaf_posterior(model, e)
-    e = e or {}
+    weights, dists = _conditioned(model, e, [var.name for var in model.schema])
     best = None
-    for k, leaf in enumerate(model.leaves):
-        if posterior[k] == 0.0:
-            continue
-        score = float(posterior[k])
+    for score, d in zip(weights, dists):
         world = {}
         for var in model.schema:
-            dist = _condition(leaf.distributions[var.name], e.get(var.name))
-            if dist is None:
-                score = 0.0
-                break
+            dist = d[var.name]
             if var.symbolic:
                 idx = dist.argmax()
                 world[var.name] = var.domain[idx]
@@ -264,7 +236,7 @@ def mpe(model: TreeModel, e: Assignment | None = None):
         if score > 0.0 and (best is None or score > best[1]):
             best = (world, score)
     if best is None:
-        raise ZeroEvidenceError(_zero_explanation(model, e))
+        raise ZeroEvidenceError(_zero_explanation(model, e or {}))
     return best
 
 
@@ -310,14 +282,11 @@ def sample(model: TreeModel, n: int, rng, e: Assignment | None = None) -> Datase
     posterior = leaf_posterior(model, e)
     e = e or {}
     leaf_idx = rng.choice(len(model.leaves), size=n, p=posterior)
-    conditioned = {}
     values = np.empty((n, len(model.schema)))
     for k in np.unique(leaf_idx):
-        leaf = model.leaves[int(k)]
-        dists = conditioned.setdefault(int(k), {
-            var.name: _condition(leaf.distributions[var.name], e.get(var.name))
-            for var in model.schema})
+        leaf = model.leaves[k]
         rows = np.nonzero(leaf_idx == k)[0]
         for j, var in enumerate(model.schema):
-            values[rows, j] = dists[var.name].sample(rng, len(rows))
+            dist = _condition(leaf.distributions[var.name], e.get(var.name))
+            values[rows, j] = dist.sample(rng, len(rows))
     return Dataset(model.schema, values)

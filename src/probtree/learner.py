@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import Assignment, DataError, Dataset, Interval, Variable
 from .multinomial import Multinomial, entropy_rel
-from .plcdf import Dirac, build_quantile_dataset, cdf_learn
+from .plcdf import build_quantile_dataset, cdf_learn
 
 _PURE = 1e-12  # impurity at or below this counts as zero
 
@@ -133,9 +133,9 @@ class LearnerConfig:
                 raise DataError("min_samples_leaf must be positive")
         elif m < 1:
             raise DataError("absolute min_samples_leaf must be >= 1")
-        if self.min_impurity_improvement < 0:
+        if not self.min_impurity_improvement >= 0:
             raise DataError("min_impurity_improvement must be >= 0")
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:
             raise DataError("epsilon must be >= 0")
         if self.max_depth is not None and self.max_depth < 0:
             raise DataError("max_depth must be >= 0")
@@ -389,8 +389,6 @@ def learn(data: Dataset, config: LearnerConfig | None = None) -> TreeModel:
                 counts = np.bincount(col.astype(int), weights=weights,
                                      minlength=len(var.domain))
                 dists[var.name] = Multinomial.fit(var, counts)
-            elif np.all(col == col[0]):
-                dists[var.name] = Dirac(float(col[0]))
             else:
                 points = build_quantile_dataset(col, weights)
                 dists[var.name] = cdf_learn(points, config.epsilon)

@@ -251,6 +251,8 @@ class PiecewiseLinearCDF:
 
 
 def numeric_from_json(obj: dict) -> "PiecewiseLinearCDF | Dirac":
+    if "dirac" in obj and "hinges" in obj:
+        raise DistributionError("numeric distribution has both 'dirac' and 'hinges'")
     if "dirac" in obj:
         return Dirac(obj["dirac"])
     if "hinges" in obj:

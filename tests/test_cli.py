@@ -50,6 +50,13 @@ class TestTrain:
                   "--min-samples-leaf", "1.5"])
         assert exc.value.code == 2
 
+    def test_nan_epsilon_exits_1(self, iris_csv, tmp_path, capsys):
+        code = main(["train", "--data", str(iris_csv), "--out", str(tmp_path / "m.json"),
+                     "--epsilon", "nan"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "m.json").exists()
+
     def test_unknown_flag(self):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--nonsense"])

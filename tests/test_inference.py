@@ -4,13 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from probtree import (AssignmentError, DataError, Dataset, DecisionNode,
+from probtree import (AssignmentError, DataError, Dataset, DecisionNode, Dirac,
                       Interval, Leaf, LearnerConfig, Multinomial,
                       PiecewiseLinearCDF, SplitCriterion, TreeModel, Variable,
                       ZeroEvidenceError, event_probability, expectation_query,
                       leaf_posterior, learn, log_likelihood, make_assignment,
                       mpe, posterior_distributions, sample)
-from probtree.learner import EQUALS
+from probtree.learner import EQUALS, THRESHOLD
 
 
 def uniform_mixture_model():
@@ -25,6 +25,96 @@ def uniform_mixture_model():
     ]
     root = DecisionNode(SplitCriterion(c, EQUALS, value_index=0), *leaves)
     return TreeModel(schema, root, leaves, LearnerConfig())
+
+def dirac_model():
+    """x <= 1.5 ? (c = a ? leaf 0 : leaf 1) : leaf 2, with priors 1/4, 1/4,
+    1/2. Leaves 0 and 1 hold x = Dirac(1) and c certain to be a and b;
+    leaf 2 holds x uniform on [2, 4] and c uniform."""
+    x, c = Variable("x", "numeric"), Variable("c", "symbolic", ("a", "b"))
+    low = Interval(-math.inf, 1.5, lower_open=True)
+    leaves = [
+        Leaf(0, 0.25, {"x": Dirac(1.0), "c": Multinomial(c, [1.0, 0.0])},
+             {"x": low, "c": frozenset({0})}, 1),
+        Leaf(1, 0.25, {"x": Dirac(1.0), "c": Multinomial(c, [0.0, 1.0])},
+             {"x": low, "c": frozenset({1})}, 1),
+        Leaf(2, 0.5, {"x": PiecewiseLinearCDF([[2, 0], [4, 1]]),
+                      "c": Multinomial(c, [0.5, 0.5])},
+             {"x": Interval(1.5, math.inf, True, True)}, 2),
+    ]
+    root = DecisionNode(SplitCriterion(x, THRESHOLD, threshold=1.5),
+                        DecisionNode(SplitCriterion(c, EQUALS, value_index=0),
+                                     leaves[0], leaves[1]),
+                        leaves[2])
+    return TreeModel((x, c), root, leaves, LearnerConfig())
+
+
+class TestDiracLeaves:
+    """Evidence on a numeric variable whose leaves are point masses."""
+
+    def test_point_evidence_at_the_dirac(self):
+        model = dirac_model()
+        e = make_assignment(model.schema, {"x": 1.0})
+        for prune in (True, False):
+            assert leaf_posterior(model, e, prune=prune).tolist() == [0.5, 0.5, 0.0]
+        assert event_probability(model, {"c": frozenset({0})}, e) == 0.5
+        assert event_probability(model, {"x": Interval(0.5, 2.0)}, e) == 1.0
+        post = posterior_distributions(model, e)
+        # every surviving component is the same Dirac
+        assert post["x"] == Dirac(1.0)
+        assert post["c"].p.tolist() == [0.5, 0.5]
+        assert expectation_query(model, "x", e) == (1.0, 1.0, 1.0)
+        # leaves 0 and 1 tie at 0.5; the lower index wins
+        assert mpe(model, e) == ({"x": 1.0, "c": "a"}, 0.5)
+        out = sample(model, 2000, np.random.default_rng(0), e)
+        assert np.all(out.column("x") == 1.0)
+        assert abs(np.mean(out.column("c") == 0) - 0.5) < 5 * math.sqrt(0.25 / 2000)
+
+    def test_interval_containing_the_dirac(self):
+        model = dirac_model()
+        e = make_assignment(model.schema, {"x": (0.5, 3.0)})
+        # factors 1, 1 and P(2 <= x <= 3 | leaf 2) = 1/2 give equal weights
+        assert leaf_posterior(model, e) == pytest.approx([1 / 3] * 3, abs=1e-15)
+        assert event_probability(model, {"x": Interval(0.0, 2.0)}, e) == pytest.approx(2 / 3)
+        assert event_probability(model, {"c": frozenset({0})}, e) == pytest.approx(1 / 2)
+        post = posterior_distributions(model, e)
+        # the Dirac mass at the first hinge stays there: a plateau up to 2
+        assert post["x"].x.tolist() == [1.0, 2.0, 3.0]
+        assert post["x"].F == pytest.approx([2 / 3, 2 / 3, 1.0])
+        assert post["c"].p == pytest.approx([0.5, 0.5])
+        mean, lo, hi = expectation_query(model, "x", e)
+        assert mean == pytest.approx(1 / 3 + 1 / 3 + 2.5 / 3)
+        assert lo <= mean <= hi
+        # leaf 2 scores 1/3 * slope 1 * 1/2 against 1/3 for the Dirac leaves
+        world, score = mpe(model, e)
+        assert world == {"x": 1.0, "c": "a"} and score == pytest.approx(1 / 3)
+        x = sample(model, 3000, np.random.default_rng(1), e).column("x")
+        assert np.all((x == 1.0) | ((x >= 2.0) & (x <= 3.0)))
+        assert abs(np.mean(x == 1.0) - 2 / 3) < 5 * math.sqrt(2 / 9 / 3000)
+
+    def test_interval_excluding_the_dirac(self):
+        model = dirac_model()
+        # overlaps the Dirac leaves' path x <= 1.5, so only the factor is 0
+        e = make_assignment(model.schema, {"x": (1.2, 3.0)})
+        for prune in (True, False):
+            assert leaf_posterior(model, e, prune=prune).tolist() == [0.0, 0.0, 1.0]
+        assert event_probability(model, {"c": frozenset({0})}, e) == 0.5
+        assert event_probability(model, {"x": Interval(0.0, 1.9)}, e) == 0.0
+        post = posterior_distributions(model, e)
+        assert post["x"] == PiecewiseLinearCDF([[2, 0], [3, 1]])
+        assert expectation_query(model, "x", e)[0] == 2.5
+        assert mpe(model, e) == ({"x": 2.5, "c": "a"}, 0.5)
+        x = sample(model, 500, np.random.default_rng(2), e).column("x")
+        assert np.all((x >= 2.0) & (x <= 3.0))
+
+    def test_interval_excluding_every_leaf(self):
+        model = dirac_model()
+        e = make_assignment(model.schema, {"x": (0.0, 0.5)})
+        for query in (lambda: leaf_posterior(model, e),
+                      lambda: posterior_distributions(model, e),
+                      lambda: mpe(model, e)):
+            with pytest.raises(ZeroEvidenceError):
+                query()
+
 
 from conftest import random_discrete_dataset
 

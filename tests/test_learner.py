@@ -157,6 +157,11 @@ class TestConfig:
         with pytest.raises(DataError):
             LearnerConfig(min_samples_leaf=0)
 
+    @pytest.mark.parametrize("field", ["epsilon", "min_impurity_improvement"])
+    def test_nan_rejected(self, field):
+        with pytest.raises(DataError, match=field):
+            LearnerConfig(**{field: float("nan")})
+
     def test_resolve_fraction_is_ceiling(self):
         assert LearnerConfig(min_samples_leaf=0.1).resolve_min_weight(15) == 2.0
 

@@ -201,6 +201,10 @@ MALFORMED = {
     "nested-threshold-empty-region": _nested_threshold,
     # s = a below the branch where s != a: the left child is empty
     "excluded-value-empty-region": lambda d: d["nodes"][2].update(op="eq", var="s", value="a"),
+    "nan-config": lambda d: d["config"].update(epsilon=float("nan"),
+                                               min_impurity_improvement=float("nan")),
+    "dirac-and-hinges": lambda d: d["leaves"][0]["distributions"]["x"].update(
+        hinges=[[0, 0.5], [1, 1]]),
 }
 
 
