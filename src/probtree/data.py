@@ -136,8 +136,8 @@ def _schema_map(schema) -> dict[str, Variable]:
 def make_assignment(schema, constraints: dict) -> Assignment:
     """Build a validated Assignment from user-level values.
 
-    Numeric constraints may be a number (point), a ``(l, u)`` pair, or an
-    Interval. Symbolic constraints may be a label or an iterable of labels.
+    Numeric constraints may be a number (point), a ``(l, u)`` pair, or a
+    closed Interval. Symbolic constraints may be a label or an iterable of labels.
     """
     by_name = _schema_map(schema)
     out: Assignment = {}
@@ -152,6 +152,8 @@ def make_assignment(schema, constraints: dict) -> Assignment:
                 iv = Interval(float(spec[0]), float(spec[1]))
             else:
                 iv = Interval(float(spec), float(spec))
+            if iv.lower_open or iv.upper_open:
+                raise AssignmentError(f"open interval bounds for {name!r} are not supported")
             if iv.lower > iv.upper:
                 raise AssignmentError(
                     f"inverted interval for {name!r}: [{iv.lower:g}, {iv.upper:g}]")

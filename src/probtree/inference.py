@@ -29,6 +29,9 @@ def _validate(model: TreeModel, a: Assignment | None, what: str) -> Assignment:
         if var.numeric:
             if not isinstance(constraint, Interval):
                 raise AssignmentError(f"{what} for numeric {name!r} must be an interval")
+            if constraint.lower_open or constraint.upper_open:
+                raise AssignmentError(f"open interval bounds in {what} for {name!r} "
+                                      "are not supported")
             if constraint.lower > constraint.upper:
                 raise AssignmentError(f"inverted interval in {what} for {name!r}")
         else:
@@ -240,38 +243,85 @@ def mpe(model: TreeModel, e: Assignment | None = None):
     return best
 
 
+def _route(model: TreeModel, values: np.ndarray) -> np.ndarray:
+    """Index in ``model.leaves`` of the leaf each row of ``values`` reaches,
+    routing all rows through each decision node at once."""
+    out = np.empty(len(values), dtype=np.intp)
+    stack = [(model.root, np.arange(len(values)))]
+    while stack:
+        node, rows = stack.pop()
+        if isinstance(node, Leaf):
+            out[rows] = node.index
+        elif len(rows):
+            crit = node.criterion
+            left = crit.matches(values[rows, model._index[crit.variable.name]])
+            stack.append((node.right, rows[~left]))
+            stack.append((node.left, rows[left]))
+    return out
+
+
+def _densities(dists, leaf: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``dists[leaf[i]].density(v[i])`` for every row, by locating each value
+    among all leaves' hinges in one pass: 0 outside a leaf's support, the
+    right piece's slope at a hinge, the left piece's at the last hinge, and
+    1 at a Dirac's value."""
+    xs = [d.x if isinstance(d, PiecewiseLinearCDF) else np.array([d.value])
+          for d in dists]
+    sizes = np.array([len(x) for x in xs])
+    last = np.cumsum(sizes) - 1  # last hinge of each leaf in the concatenation
+    first = last - sizes + 1
+    x = np.concatenate(xs)
+    F = np.concatenate([d.F if isinstance(d, PiecewiseLinearCDF) else np.ones(1)
+                        for d in dists])
+    # slope of the piece ending at each hinge; the differences across two
+    # leaves are junk and are overwritten with a Dirac's unit density
+    ending = np.ones(len(x))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ending[1:] = np.diff(F) / np.diff(x)
+    ending[first] = 1.0
+    # exact integer keys (leaf, rank of value): the hinge keys are sorted,
+    # and a row's key lands after every hinge of its leaf at or below it
+    rank = np.unique(np.concatenate([x, v]), return_inverse=True)[1]
+    width = len(rank)
+    owner = np.repeat(np.arange(len(dists)), sizes)
+    g = np.searchsorted(owner * width + rank[:len(x)],
+                        leaf * width + rank[len(x):], side="right")
+    end = last[leaf]
+    inside = (g > first[leaf]) & (v <= x[end])
+    return np.where(inside, ending[np.minimum(g, end)], 0.0)
+
+
 def log_likelihood(model: TreeModel, data: Dataset):
     """Average per-row log-likelihood and the fraction of zero-likelihood rows.
 
     Each row is scored in the unique leaf reached by descending the tree:
-    log prior plus log density (numeric) or log mass (symbolic). Rows with
-    any zero factor are excluded from the average and counted separately.
-    Returns ``(average, zero_fraction)``; the average is NaN when every
-    row has zero likelihood.
+    log prior plus log density (numeric) or log mass (symbolic), added in
+    schema order. Rows with any zero factor are excluded from the average
+    and counted separately; the others are summed in row order. Returns
+    ``(average, zero_fraction)``; the average is NaN when every row has
+    zero likelihood.
     """
     if tuple(data.schema) != tuple(model.schema):
         raise AssignmentError("dataset schema (names, kinds and symbolic domains) "
                               "does not match the model")
-    total, finite = 0.0, 0
-    zero = 0
-    for i in range(len(data)):
-        row = data.values[i]
-        leaf = model.descend(row)
-        logp = math.log(leaf.prior)
-        for j, var in enumerate(model.schema):
-            dist = leaf.distributions[var.name]
-            f = dist.p[int(row[j])] if var.symbolic else dist.density(float(row[j]))
-            if f <= 0.0:
-                logp = None
-                break
-            logp += math.log(f)
-        if logp is None:
-            zero += 1
+    if len(data) == 0:
+        raise AssignmentError("cannot score a dataset without rows")
+    leaf = _route(model, data.values)
+    logp = np.log([lf.prior for lf in model.leaves])[leaf]
+    zero = np.zeros(len(data), dtype=bool)
+    for j, var in enumerate(model.schema):
+        dists = [lf.distributions[var.name] for lf in model.leaves]
+        column = data.values[:, j]
+        if var.symbolic:
+            f = np.array([d.p for d in dists])[leaf, column.astype(np.intp)]
         else:
-            total += logp
-            finite += 1
-    average = total / finite if finite else math.nan
-    return average, zero / len(data)
+            f = _densities(dists, leaf, column)
+        positive = f > 0.0
+        zero |= ~positive
+        logp += np.log(np.where(positive, f, 1.0))
+    kept = logp[~zero]
+    average = float(np.cumsum(kept)[-1] / len(kept)) if len(kept) else math.nan
+    return average, float(zero.sum() / len(data))
 
 
 def sample(model: TreeModel, n: int, rng, e: Assignment | None = None) -> Dataset:

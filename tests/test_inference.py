@@ -106,6 +106,18 @@ class TestDiracLeaves:
         x = sample(model, 500, np.random.default_rng(2), e).column("x")
         assert np.all((x >= 2.0) & (x <= 3.0))
 
+    def test_open_bounds_rejected(self):
+        model = dirac_model()
+        for iv in (Interval(1.0, 2.0, lower_open=True), Interval(1.0, 3.0, upper_open=True)):
+            with pytest.raises(AssignmentError, match="'x'"):
+                make_assignment(model.schema, {"x": iv})
+            with pytest.raises(AssignmentError, match="'x'"):
+                leaf_posterior(model, {"x": iv})
+            with pytest.raises(AssignmentError, match="'x'"):
+                event_probability(model, {"x": iv})
+            with pytest.raises(AssignmentError, match="'x'"):
+                event_probability(model, {"c": frozenset({0})}, {"x": iv})
+
     def test_interval_excluding_every_leaf(self):
         model = dirac_model()
         e = make_assignment(model.schema, {"x": (0.0, 0.5)})
@@ -116,7 +128,7 @@ class TestDiracLeaves:
                 query()
 
 
-from conftest import random_discrete_dataset
+from conftest import random_discrete_dataset, random_plf
 
 
 def brute_force_event(model, q, e):
@@ -355,6 +367,107 @@ class TestMpe:
         assert score == pytest.approx(best, abs=1e-12)
 
 
+def per_row_log_likelihood(model, data):
+    """Reference for ``log_likelihood``: each row descends the tree alone
+    and is scored with scalar ``density`` or ``p[i]`` and ``math.log``,
+    summed in row order."""
+    total, finite, zero = 0.0, 0, 0
+    for row in data.values:
+        leaf = model.descend(row)
+        logp = math.log(leaf.prior)
+        for j, var in enumerate(model.schema):
+            dist = leaf.distributions[var.name]
+            f = dist.p[int(row[j])] if var.symbolic else dist.density(float(row[j]))
+            if f <= 0.0:
+                logp = None
+                break
+            logp += math.log(f)
+        if logp is None:
+            zero += 1
+        else:
+            total += logp
+            finite += 1
+    return (total / finite if finite else math.nan), zero / len(data)
+
+
+def assert_matches_per_row(model, data):
+    avg, zero_frac = log_likelihood(model, data)
+    ref_avg, ref_zero = per_row_log_likelihood(model, data)
+    assert zero_frac == ref_zero
+    if math.isnan(ref_avg):
+        assert math.isnan(avg)
+    else:
+        assert avg == pytest.approx(ref_avg, rel=1e-12, abs=0.0)
+    return avg, zero_frac
+
+
+def hinge_model():
+    """c = a ? leaf 0 : leaf 1. Leaf 0: x has an atom at its first hinge
+    and a plateau on [1, 2]; d's third label has mass 0. Leaf 1: x = Dirac(3)."""
+    x = Variable("x", "numeric")
+    c = Variable("c", "symbolic", ("a", "b"))
+    d = Variable("d", "symbolic", ("u", "v", "w"))
+    leaves = [
+        Leaf(0, 0.75, {"x": PiecewiseLinearCDF([[0, 0.1], [1, 0.3], [2, 0.3], [4, 1]]),
+                       "c": Multinomial(c, [1.0, 0.0]),
+                       "d": Multinomial(d, [0.5, 0.5, 0.0])}, {"c": frozenset({0})}, 3),
+        Leaf(1, 0.25, {"x": Dirac(3.0), "c": Multinomial(c, [0.0, 1.0]),
+                       "d": Multinomial(d, [0.2, 0.3, 0.5])}, {"c": frozenset({1})}, 1),
+    ]
+    root = DecisionNode(SplitCriterion(c, EQUALS, value_index=0), *leaves)
+    return TreeModel((x, c, d), root, leaves, LearnerConfig())
+
+
+def random_chain_model(rng, depth):
+    """A chain of ``depth`` random decision nodes over numeric x, y and
+    symbolic c, each with a leaf on a random side. Leaves hold random PLFs
+    or Diracs at integers, and histograms of c with zeros."""
+    schema = (Variable("x", "numeric"), Variable("y", "numeric"),
+              Variable("c", "symbolic", ("a", "b", "c", "d")))
+    priors = rng.dirichlet(np.ones(depth + 1))
+    leaves = []
+    for k, prior in enumerate(priors):
+        dists = {}
+        for var in schema[:2]:
+            if rng.random() < 0.25:
+                dists[var.name] = Dirac(float(rng.integers(-3, 4)))
+            else:
+                dists[var.name] = random_plf(rng, zero_start=bool(rng.random() < 0.5))
+        p = rng.random(4) * (rng.random(4) < 0.7)
+        p[rng.integers(0, 4)] += 0.1
+        dists["c"] = Multinomial(schema[2], p / p.sum())
+        leaves.append(Leaf(k, float(prior), dists, {}, 1))
+    node = leaves[-1]
+    for leaf in reversed(leaves[:-1]):
+        if rng.random() < 0.3:
+            crit = SplitCriterion(schema[2], EQUALS, value_index=int(rng.integers(0, 4)))
+        else:
+            crit = SplitCriterion(schema[int(rng.integers(0, 2))], THRESHOLD,
+                                  threshold=float(rng.uniform(-10, 10)))
+        sides = (leaf, node) if rng.random() < 0.5 else (node, leaf)
+        node = DecisionNode(crit, *sides)
+    return TreeModel(schema, node, leaves, LearnerConfig())
+
+
+def rows_on_hinges(rng, model, n):
+    """Rows whose numeric cells are uniform, or hinges and Dirac values of
+    the model, or their nearest neighbours."""
+    points = np.unique(np.concatenate(
+        [np.atleast_1d(d.x if isinstance(d, PiecewiseLinearCDF) else d.value)
+         for leaf in model.leaves for name, d in leaf.distributions.items()
+         if model.variable(name).numeric]))
+    points = np.concatenate([points, np.nextafter(points, -np.inf),
+                             np.nextafter(points, np.inf)])
+    columns = []
+    for var in model.schema:
+        if var.symbolic:
+            columns.append(rng.integers(0, len(var.domain), n).astype(float))
+        else:
+            columns.append(np.where(rng.random(n) < 0.5, rng.choice(points, n),
+                                    rng.uniform(-12, 12, n)))
+    return Dataset(model.schema, np.column_stack(columns))
+
+
 class TestLogLikelihood:
     def test_single_row_density(self, toy_hybrid_model):
         model = toy_hybrid_model
@@ -389,10 +502,71 @@ class TestLogLikelihood:
         with pytest.raises(AssignmentError):
             log_likelihood(toy_hybrid_model, ds)
 
+    def test_zero_rows_rejected(self, toy_hybrid_model):
+        ds = Dataset(toy_hybrid_model.schema, np.empty((0, 2)))
+        with pytest.raises(AssignmentError, match="without rows"):
+            log_likelihood(toy_hybrid_model, ds)
+
     def test_training_data_has_full_support(self, iris, iris_model):
         avg, zero_frac = log_likelihood(iris_model, iris)
         assert zero_frac == 0.0
         assert math.isfinite(avg)
+
+    def test_density_rules_at_hinges(self):
+        model = hinge_model()
+        below, above = np.nextafter(0.0, -1.0), np.nextafter(4.0, 5.0)
+        # (x, c, d) and the density of x in its leaf, by the rules of density
+        cases = [(0.0, 0, 0, 0.2),     # first hinge: right piece
+                 (1.0, 0, 1, 0.0),     # interior hinge opening the plateau
+                 (1.5, 0, 0, 0.0),     # on the plateau
+                 (2.0, 0, 1, 0.35),    # interior hinge closing the plateau
+                 (4.0, 0, 0, 0.35),    # last hinge: left piece
+                 (below, 0, 0, 0.0),   # just below the support
+                 (above, 0, 0, 0.0),   # just above it
+                 (3.0, 1, 2, 1.0),     # at the Dirac
+                 (np.nextafter(3.0, 4.0), 1, 0, 0.0)]
+        for x, c, d, density in cases:
+            dist = model.leaves[c].distributions["x"]
+            assert dist.density(x) == pytest.approx(density, abs=1e-15)
+            ds = Dataset(model.schema, np.array([[x, c, d]]))
+            avg, zero_frac = assert_matches_per_row(model, ds)
+            assert zero_frac == (density == 0.0)
+        # a label of mass 0 zeroes an otherwise positive row
+        ds = Dataset(model.schema, np.array([[0.5, 0, 2], [0.5, 0, 1]]))
+        avg, zero_frac = assert_matches_per_row(model, ds)
+        assert zero_frac == 0.5
+        assert avg == pytest.approx(math.log(0.75 * 0.2 * 1.0 * 0.5))
+        rows = np.array([[x, c, d] for x, c, d, _ in cases])
+        assert_matches_per_row(model, Dataset(model.schema, rows))
+
+    def test_dirac_leaves(self):
+        model = dirac_model()
+        rows = np.array([[1.0, 0], [1.0, 1], [np.nextafter(1.0, 2.0), 0], [0.5, 1],
+                         [2.0, 0], [4.0, 1], [1.5, 0], [3.0, 1]])
+        avg, zero_frac = assert_matches_per_row(model, Dataset(model.schema, rows))
+        assert zero_frac == 3 / 8
+
+    def test_every_row_zero(self):
+        model = hinge_model()
+        rows = np.array([[1.5, 0, 0], [-1.0, 0, 1], [2.5, 1, 0]])
+        avg, zero_frac = assert_matches_per_row(model, Dataset(model.schema, rows))
+        assert zero_frac == 1.0 and math.isnan(avg)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_per_row_on_random_chains(self, seed):
+        rng = np.random.default_rng(seed)
+        depth = 60 if seed % 4 == 0 else int(rng.integers(1, 10))
+        model = random_chain_model(rng, depth)
+        data = rows_on_hinges(rng, model, 400)
+        assert_matches_per_row(model, data)
+        assert_matches_per_row(model, Dataset(model.schema, data.values[:1]))
+
+    def test_matches_per_row_on_learnt_models(self, iris, toy_hybrid_model):
+        for msl in (0.1, 0.02, 2):
+            assert_matches_per_row(learn(iris, LearnerConfig(min_samples_leaf=msl)), iris)
+        rng = np.random.default_rng(3)
+        assert_matches_per_row(toy_hybrid_model,
+                               rows_on_hinges(rng, toy_hybrid_model, 500))
 
 
 class TestSample:

@@ -38,7 +38,9 @@ def test_traced_operations_record_nested_calls(iris):
         assert calls.get("learner.build_quantile_dataset", 0) > 0
 
         _, calls = calls_of(lambda: pt.log_likelihood(model, iris))
-        assert calls.get("TreeModel.descend", 0) == len(iris)
+        assert calls.get("probtree.log_likelihood", 0) == 1
+        _, calls = calls_of(lambda: model.descend(iris.values[0]))
+        assert calls.get("TreeModel.descend", 0) == 1
 
         e = pt.make_assignment(model.schema, {"petal_length": (1.0, 5.0)})
         q = pt.make_assignment(model.schema, {"species": ["setosa"]})
