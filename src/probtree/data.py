@@ -67,6 +67,8 @@ class Variable:
 
     @staticmethod
     def from_json(obj: dict) -> "Variable":
+        if not isinstance(obj["name"], str):
+            raise DataError(f"variable name {obj['name']!r} is not a string")
         return Variable(obj["name"], obj["kind"], tuple(obj.get("domain", ())))
 
 

@@ -32,8 +32,8 @@ def _validate(model: TreeModel, a: Assignment | None, what: str) -> Assignment:
             if constraint.lower_open or constraint.upper_open:
                 raise AssignmentError(f"open interval bounds in {what} for {name!r} "
                                       "are not supported")
-            if constraint.lower > constraint.upper:
-                raise AssignmentError(f"inverted interval in {what} for {name!r}")
+            if not constraint.lower <= constraint.upper:
+                raise AssignmentError(f"inverted or NaN interval in {what} for {name!r}")
         else:
             if isinstance(constraint, Interval):
                 raise AssignmentError(f"{what} for symbolic {name!r} must be a value set")
@@ -71,16 +71,24 @@ def _evidence_factor(dist, constraint) -> float:
     return _mass(dist, constraint)
 
 
-def _condition(dist, constraint):
-    """Leaf distribution conditioned on one evidence constraint of positive
-    mass under it; a zero mass raises DistributionError."""
-    if constraint is None:
-        return dist
-    if isinstance(constraint, Interval):
-        if constraint.is_point:
-            return Dirac(constraint.lower)
-        return dist.crop(constraint.lower, constraint.upper)
-    return dist.condition(constraint)
+def _conditioner(e: Assignment):
+    """``condition(dist, name)``: a leaf's distribution of ``name`` conditioned
+    on ``e``, where a zero mass raises DistributionError. Every leaf shares
+    the one point mass of a point constraint."""
+    points = {name: Dirac(c.lower) for name, c in e.items()
+              if isinstance(c, Interval) and c.is_point}
+
+    def condition(dist, name):
+        constraint = e.get(name)
+        if constraint is None:
+            return dist
+        if name in points:
+            return points[name]
+        if isinstance(constraint, Interval):
+            return dist.crop(constraint.lower, constraint.upper)
+        return dist.condition(constraint)
+
+    return condition
 
 
 def leaf_posterior(model: TreeModel, e: Assignment | None = None,
@@ -125,13 +133,12 @@ def _conditioned(model: TreeModel, e: Assignment | None, names):
     floats, and for each such leaf its distributions of ``names``
     conditioned on ``e``."""
     posterior = leaf_posterior(model, e)
-    e = e or {}
+    condition = _conditioner(e or {})
     weights, dists = [], []
     for k in np.flatnonzero(posterior):
         leaf = model.leaves[k]
         weights.append(float(posterior[k]))
-        dists.append({name: _condition(leaf.distributions[name], e.get(name))
-                      for name in names})
+        dists.append({name: condition(leaf.distributions[name], name) for name in names})
     return weights, dists
 
 
@@ -148,30 +155,31 @@ def event_probability(model: TreeModel, q: Assignment,
     return min(1.0, max(0.0, total))
 
 
-def _merge_numeric(components) -> "PiecewiseLinearCDF | Dirac":
-    """Positively weighted piecewise-linear/Dirac components as one CDF,
-    interpolated linearly between their hinges. Not the exact mixture: each
-    component's point mass at its first hinge is spread over the gap before."""
-    xs = np.unique(np.concatenate([
-        np.asarray(d.x) if isinstance(d, PiecewiseLinearCDF) else np.array([d.value])
-        for _, d in components]))
+def _merge_numeric(components) -> PiecewiseLinearCDF:
+    """Positively weighted step-free components (conditioned leaf CDFs) as
+    their exact mixture CDF ``sum_k w_k F_k`` on the union of their hinges.
+    A grid point above the first where some components have their
+    first-hinge atom becomes a step: the mixture's left limit, which leaves
+    those atoms out, then its value."""
+    xs = np.unique(np.concatenate([d.x for _, d in components]))
     F = np.zeros_like(xs)
     for w, d in components:
-        if isinstance(d, PiecewiseLinearCDF):
-            F += w * d.cdf_vec(xs)
-        else:
-            F += w * (xs >= d.value)
+        F += w * d.cdf_vec(xs)
+    first = xs.searchsorted([d.x[0] for _, d in components])
+    atoms = np.bincount(first, weights=[w * d.F[0] for w, d in components],
+                        minlength=len(xs))
+    step = np.flatnonzero(atoms[1:] > 0.0) + 1  # F[0] itself is the atom at xs[0]
+    xs = np.insert(xs, step, xs[step])
+    F = np.insert(F, step, (F - atoms)[step])
     F = F / F[-1]  # guard fp drift; mixture weights sum to 1
     F = np.maximum.accumulate(F)
     F[-1] = 1.0
-    if len(xs) == 1:
-        return Dirac(float(xs[0]))
     return PiecewiseLinearCDF(np.column_stack([xs, F]))
 
 
 def posterior_distributions(model: TreeModel, e: Assignment | None = None) -> dict:
     """Per-variable posterior marginals given evidence, as superimposed
-    leaf distributions (merged PLF / Dirac for numeric, histogram mixture
+    leaf distributions (the exact mixture CDF for numeric, histogram mixture
     for symbolic)."""
     weights, dists = _conditioned(model, e, [var.name for var in model.schema])
     out = {}
@@ -206,10 +214,10 @@ def expectation_query(model: TreeModel, target: str,
 
 
 def _max_density_point(dist):
-    """Argmax of the density and its value; PLF picks the midpoint of the
-    steepest piece (leftmost on ties), Dirac contributes unit mass."""
-    if isinstance(dist, Dirac):
-        return dist.value, 1.0
+    """Argmax of the density and its value: the midpoint of the steepest
+    piece (leftmost on ties), or a point mass's value with unit density."""
+    if len(dist.x) == 1:
+        return float(dist.x[0]), 1.0
     slopes = np.diff(dist.F) / np.diff(dist.x)
     k = int(np.argmax(slopes))
     return float((dist.x[k] + dist.x[k + 1]) / 2.0), float(slopes[k])
@@ -218,7 +226,7 @@ def _max_density_point(dist):
 def mpe(model: TreeModel, e: Assignment | None = None):
     """Most probable explanation: a complete world and its score.
 
-    The score mixes probability mass (symbolic, Dirac) with density
+    The score mixes probability mass (symbolic, point masses) with density
     (continuous); it is only comparable between candidates under the same
     evidence. Ties break to the lowest leaf index.
     """
@@ -264,17 +272,15 @@ def _densities(dists, leaf: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``dists[leaf[i]].density(v[i])`` for every row, by locating each value
     among all leaves' hinges in one pass: 0 outside a leaf's support, the
     right piece's slope at a hinge, the left piece's at the last hinge, and
-    1 at a Dirac's value."""
-    xs = [d.x if isinstance(d, PiecewiseLinearCDF) else np.array([d.value])
-          for d in dists]
+    1 at a point mass's value. Leaf CDFs have no steps."""
+    xs = [d.x for d in dists]
     sizes = np.array([len(x) for x in xs])
     last = np.cumsum(sizes) - 1  # last hinge of each leaf in the concatenation
     first = last - sizes + 1
     x = np.concatenate(xs)
-    F = np.concatenate([d.F if isinstance(d, PiecewiseLinearCDF) else np.ones(1)
-                        for d in dists])
+    F = np.concatenate([d.F for d in dists])
     # slope of the piece ending at each hinge; the differences across two
-    # leaves are junk and are overwritten with a Dirac's unit density
+    # leaves are junk and are overwritten with a point mass's unit density
     ending = np.ones(len(x))
     with np.errstate(divide="ignore", invalid="ignore"):
         ending[1:] = np.diff(F) / np.diff(x)
@@ -330,13 +336,13 @@ def sample(model: TreeModel, n: int, rng, e: Assignment | None = None) -> Datase
     if n < 1:
         raise AssignmentError("sample count must be >= 1")
     posterior = leaf_posterior(model, e)
-    e = e or {}
+    condition = _conditioner(e or {})
     leaf_idx = rng.choice(len(model.leaves), size=n, p=posterior)
     values = np.empty((n, len(model.schema)))
     for k in np.unique(leaf_idx):
         leaf = model.leaves[k]
         rows = np.nonzero(leaf_idx == k)[0]
         for j, var in enumerate(model.schema):
-            dist = _condition(leaf.distributions[var.name], e.get(var.name))
+            dist = condition(leaf.distributions[var.name], var.name)
             values[rows, j] = dist.sample(rng, len(rows))
     return Dataset(model.schema, values)

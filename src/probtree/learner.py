@@ -372,6 +372,13 @@ def learn(data: Dataset, config: LearnerConfig | None = None) -> TreeModel:
         scope_idx = list(range(len(names)))
         candidate_idx = list(range(len(names)))
 
+    # the split scorer sums w*x*x per numeric column (an infinite x*x too)
+    with np.errstate(over="ignore"):
+        for var, col in zip(schema, data.values.T):
+            if var.numeric and not np.isfinite(data.weights @ (col * col)):
+                raise DataError(f"numeric column {var.name!r}: squared values overflow; "
+                                "rescale the column")
+
     total_weight = data.total_weight
     min_weight = config.resolve_min_weight(total_weight)
     if total_weight < min_weight:

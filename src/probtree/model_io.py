@@ -109,7 +109,7 @@ def loads(text: str) -> TreeModel:
                                sample_count=count))
     except ModelFormatError:
         raise
-    except (KeyError, TypeError, ValueError, DistributionError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, DistributionError) as exc:
         raise ModelFormatError(f"leaves: {exc}") from None
 
     total_prior = sum(leaf.prior for leaf in leaves)

@@ -1,15 +1,15 @@
-"""Model-free univariate continuous distributions as piecewise-linear CDFs.
+"""Model-free univariate numeric distributions as piecewise-linear CDFs.
 
 A distribution is represented by its CDF as a linear spline over hinge
-points. Fitting works on the empirical quantile curve: samples are turned
-into (value, cumulative-quantile) points and hinges are selected by
-recursive splitting until the residual against a two-point chord drops
-below a tolerance.
+points, with point masses where the CDF jumps: at the first hinge, at a
+lone hinge, or at a repeated hinge x (see ``PiecewiseLinearCDF``).
+Fitting works on the empirical quantile curve: samples are turned into
+(value, cumulative-quantile) points and hinges are selected by recursive
+splitting until the residual against a two-point chord drops below a
+tolerance.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -46,89 +46,37 @@ def build_quantile_dataset(samples, weights=None) -> tuple[np.ndarray, np.ndarra
     return xs[keep], gamma
 
 
-class Dirac:
-    """All probability mass at a single point.
-
-    Degenerate leaf populations (single sample or all samples equal)
-    collapse to this; its likelihood contribution is 1 on exact match and
-    0 otherwise.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: float):
-        if not math.isfinite(value):
-            raise DistributionError("Dirac value must be finite")
-        self.value = float(value)
-
-    def cdf(self, x: float) -> float:
-        return 1.0 if x >= self.value else 0.0
-
-    def interval_probability(self, l: float, u: float) -> float:
-        if l > u:
-            raise DistributionError(f"inverted interval [{l:g}, {u:g}]")
-        return 1.0 if l <= self.value <= u else 0.0
-
-    def ppf(self, p: float) -> float:
-        if not 0.0 <= p <= 1.0:
-            raise DistributionError(f"probability {p} outside [0, 1]")
-        return self.value
-
-    def density(self, x: float) -> float:
-        # point mass reported as unit likelihood on exact match
-        return 1.0 if x == self.value else 0.0
-
-    def expectation(self) -> float:
-        return self.value
-
-    def crop(self, l: float, u: float) -> "Dirac":
-        if self.interval_probability(l, u) == 0.0:
-            raise DistributionError("cropping to a zero-mass interval")
-        return self
-
-    def sample(self, rng, n: int = 1) -> np.ndarray:
-        return np.full(n, self.value)
-
-    def confidence_interval(self, theta: float):
-        return (self.value, self.value)
-
-    @property
-    def support(self):
-        return (self.value, self.value)
-
-    def parameter_count(self) -> int:
-        return 1
-
-    def to_json(self) -> dict:
-        return {"dirac": self.value}
-
-    def __eq__(self, other):
-        return isinstance(other, Dirac) and self.value == other.value
-
-    def __repr__(self):
-        return f"Dirac({self.value!r})"
-
-
 class PiecewiseLinearCDF:
     """CDF defined by hinge points connected as a linear spline.
 
-    F is 0 below the first hinge and 1 at and above the last one. A first
-    hinge value above 0 encodes a point mass at the minimum, which is what
-    empirical quantile fits naturally produce.
+    F is 0 below the first hinge and 1 at and above the last one. Three
+    rules say where point masses (atoms) sit:
+
+    - ``F[0] > 0`` is an atom at ``x[0]``, which is what empirical
+      quantile fits naturally produce;
+    - a single hinge ``[[v, 1]]`` is a point mass at ``v``;
+    - a repeated ``x`` is a vertical step: an atom inside the support,
+      ``F(x-)`` at its first hinge and ``F(x)`` at its second. Only merged
+      marginals have steps; leaf fits and their crops do not.
+
+    The mass of a closed interval ``[l, u]`` is ``F(u) - F(l-)``.
     """
 
-    __slots__ = ("x", "F")
+    __slots__ = ("x", "F", "_steps")
 
     def __init__(self, hinges):
-        arr = np.asarray(hinges, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
-            raise DistributionError("need at least two (x, F) hinges")
-        x, F = np.ascontiguousarray(arr[:, 0]), np.ascontiguousarray(arr[:, 1])
-        if not np.all(np.isfinite(x)) or not np.all(np.isfinite(F)):
+        arr = np.asarray(hinges)
+        if arr.dtype.kind not in "biuf" or arr.ndim != 2 or arr.shape[1] != 2 or not len(arr):
+            raise DistributionError("need at least one (x, F) hinge of numbers")
+        arr = arr.astype(float, copy=False)
+        if not np.isfinite(arr).all():
             raise DistributionError("hinges must be finite")
-        if np.any(np.diff(x) <= 0):
-            raise DistributionError("hinge x values must be strictly increasing")
-        if np.any(np.diff(F) < 0):
+        x, F = arr[:, 0].copy(), arr[:, 1].copy()
+        if (x[1:] < x[:-1]).any():
+            raise DistributionError("hinge x values must be non-decreasing")
+        if len(x) > 1 and x[1] == x[0]:
+            raise DistributionError("no step at the first hinge: F[0] is its atom")
+        if (F[1:] < F[:-1]).any():
             raise DistributionError("hinge F values must be non-decreasing")
         if F[0] < 0 or F[-1] != 1.0:
             raise DistributionError("hinge F values must start >= 0 and end at exactly 1")
@@ -136,6 +84,8 @@ class PiecewiseLinearCDF:
         F.setflags(write=False)
         self.x = x
         self.F = F
+        # whether an x repeats: only then can an atom sit above x[0]
+        self._steps = bool((x[1:] == x[:-1]).any())
 
     # -- evaluation ---------------------------------------------------------
 
@@ -146,6 +96,17 @@ class PiecewiseLinearCDF:
             return 1.0
         return float(np.interp(x, self.x, self.F))
 
+    def cdf_left(self, x: float) -> float:
+        """Left limit F(x-), the mass below ``x``; equal to ``cdf(x)``
+        wherever there is no atom at ``x``."""
+        if x <= self.x[0]:
+            return 0.0
+        if self._steps and x <= self.x[-1]:
+            j = self.x.searchsorted(x)  # first hinge at or above x
+            if self.x[j] == x:
+                return float(self.F[j])
+        return self.cdf(x)
+
     def cdf_vec(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         out = np.interp(xs, self.x, self.F)
@@ -154,9 +115,10 @@ class PiecewiseLinearCDF:
         return out
 
     def interval_probability(self, l: float, u: float) -> float:
+        """Mass of the closed interval [l, u], atoms at its bounds included."""
         if l > u:
             raise DistributionError(f"inverted interval [{l:g}, {u:g}]")
-        return min(1.0, max(0.0, self.cdf(u) - self.cdf(l)))
+        return min(1.0, max(0.0, self.cdf(u) - self.cdf_left(l)))
 
     def ppf(self, p: float) -> float:
         return float(self.ppf_vec(np.array([p]))[0])
@@ -181,29 +143,32 @@ class PiecewiseLinearCDF:
     def density(self, x: float) -> float:
         """Slope of the active piece; 0 outside the support.
 
-        At a hinge the right piece's slope applies (left piece at the last
-        hinge). The initial point mass, if any, does not contribute.
+        At a hinge the right piece's slope applies (the piece ending there at
+        the last hinge). Atoms do not contribute, except that a point mass
+        has unit density at its value: the likelihood of an exact match.
         """
         if x < self.x[0] or x > self.x[-1]:
             return 0.0
-        j = int(np.searchsorted(self.x, x, side="right"))
+        if len(self.x) == 1:
+            return 1.0
+        j = int(self.x.searchsorted(x, side="right"))
         if j == len(self.x):
-            j -= 1  # last hinge: use the left piece
+            j = int(self.x.searchsorted(x))  # last hinge, below a final step
         return float((self.F[j] - self.F[j - 1]) / (self.x[j] - self.x[j - 1]))
 
     # -- derived quantities -------------------------------------------------
 
     def expectation(self) -> float:
-        """Mean: piecewise-constant-density integral plus the initial point mass."""
-        slopes = np.diff(self.F) / np.diff(self.x)
-        pieces = float(np.sum(slopes * (self.x[1:] ** 2 - self.x[:-1] ** 2) / 2.0))
-        return pieces + float(self.F[0]) * float(self.x[0])
+        """Mean: the atom at x[0] plus each piece's mass at its midpoint,
+        which for a step is its x."""
+        mid = (self.x[1:] + self.x[:-1]) / 2.0
+        return float(self.F[0] * self.x[0] + np.sum(np.diff(self.F) * mid))
 
-    def crop(self, l: float, u: float) -> "PiecewiseLinearCDF | Dirac":
+    def crop(self, l: float, u: float) -> "PiecewiseLinearCDF":
         """Condition on [l, u]: shift to zero and renormalize to mass 1."""
         if l > u:
             raise DistributionError(f"inverted interval [{l:g}, {u:g}]")
-        fl, fu = self.cdf(l), self.cdf(u)
+        fl, fu = self.cdf_left(l), self.cdf(u)
         mass = fu - fl
         if mass <= 0.0:
             raise DistributionError(f"cropping to zero-mass interval [{l:g}, {u:g}]")
@@ -211,14 +176,19 @@ class PiecewiseLinearCDF:
         hi = min(u, float(self.x[-1]))
         if lo == hi:
             return Dirac(lo)
-        inner = (self.x > lo) & (self.x < hi)
-        xs = np.concatenate(([lo], self.x[inner], [hi]))
-        Fs = (self.cdf_vec(xs) - fl) / mass
-        Fs[0] = (self.cdf(lo) - fl) / mass
+        # the hinges in (lo, hi] keep their F, so a step at hi stays one
+        keep = (self.x > lo) & (self.x <= hi)
+        xs = np.concatenate(([lo], self.x[keep]))
+        Fs = np.concatenate(([self.cdf(lo)], self.F[keep]))
+        if xs[-1] != hi:
+            xs, Fs = np.append(xs, hi), np.append(Fs, fu)
+        Fs = (Fs - fl) / mass
         Fs[-1] = 1.0
         return PiecewiseLinearCDF(np.column_stack([xs, Fs]))
 
     def sample(self, rng, n: int = 1) -> np.ndarray:
+        if len(self.x) == 1:
+            return np.full(n, self.x[0])  # a point mass draws no random numbers
         return self.ppf_vec(rng.random(n))
 
     def confidence_interval(self, theta: float):
@@ -239,6 +209,8 @@ class PiecewiseLinearCDF:
         return len(self.x)
 
     def to_json(self) -> dict:
+        if len(self.x) == 1:
+            return {"dirac": float(self.x[0])}
         return {"hinges": [[float(a), float(b)] for a, b in zip(self.x, self.F)]}
 
     def __eq__(self, other):
@@ -250,13 +222,22 @@ class PiecewiseLinearCDF:
         return f"PiecewiseLinearCDF({len(self.x)} hinges on [{self.x[0]:g}, {self.x[-1]:g}])"
 
 
-def numeric_from_json(obj: dict) -> "PiecewiseLinearCDF | Dirac":
+def Dirac(value: float) -> PiecewiseLinearCDF:
+    """Point mass at ``value``: the one-hinge CDF."""
+    return PiecewiseLinearCDF([[value, 1.0]])
+
+
+def numeric_from_json(obj: dict) -> PiecewiseLinearCDF:
+    """A leaf's numeric distribution, which has no steps, from its JSON."""
     if "dirac" in obj and "hinges" in obj:
         raise DistributionError("numeric distribution has both 'dirac' and 'hinges'")
     if "dirac" in obj:
         return Dirac(obj["dirac"])
     if "hinges" in obj:
-        return PiecewiseLinearCDF(obj["hinges"])
+        dist = PiecewiseLinearCDF(obj["hinges"])
+        if dist._steps:
+            raise DistributionError("leaf hinge x values must be strictly increasing")
+        return dist
     raise DistributionError(f"unrecognized numeric distribution encoding: {sorted(obj)}")
 
 
@@ -280,7 +261,7 @@ def _chord_sse(prefix, a: int, b: int, d: np.ndarray, g: np.ndarray):
     return np.where(np.isfinite(sse), np.maximum(sse, 0.0), np.inf), n
 
 
-def cdf_learn(points, epsilon: float) -> "PiecewiseLinearCDF | Dirac":
+def cdf_learn(points, epsilon: float) -> PiecewiseLinearCDF:
     """Fit a piecewise-linear CDF to the quantile curve ``(values, quantiles)``
     that ``build_quantile_dataset`` returns.
 
@@ -288,7 +269,7 @@ def cdf_learn(points, epsilon: float) -> "PiecewiseLinearCDF | Dirac":
     count-weighted mean squared error of the two chord fits, until a
     subset's total squared chord residual falls below ``epsilon``. With
     epsilon = 0 every point becomes a hinge and the spline interpolates
-    the curve exactly. A single point yields a Dirac.
+    the curve exactly. A single point yields a point mass.
     """
     if epsilon < 0:
         raise DistributionError("epsilon must be >= 0")

@@ -57,6 +57,16 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "m.json").exists()
 
+    def test_overflowing_column_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "big.csv"
+        data.write_text("x\n" + "".join(f"{1.3 ** i!r}\n" for i in range(1500)))
+        code = main(["train", "--data", str(data), "--out", str(tmp_path / "m.json"),
+                     "--min-samples-leaf", "1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "'x'" in err and "Traceback" not in err
+        assert not (tmp_path / "m.json").exists()
+
     def test_unknown_flag(self):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--nonsense"])

@@ -10,6 +10,7 @@ from probtree import (AssignmentError, DataError, Dataset, DecisionNode, Dirac,
                       ZeroEvidenceError, event_probability, expectation_query,
                       leaf_posterior, learn, log_likelihood, make_assignment,
                       mpe, posterior_distributions, sample)
+from probtree.inference import _merge_numeric
 from probtree.learner import EQUALS, THRESHOLD
 
 
@@ -111,6 +112,16 @@ class TestDiracLeaves:
         for iv in (Interval(1.0, 2.0, lower_open=True), Interval(1.0, 3.0, upper_open=True)):
             with pytest.raises(AssignmentError, match="'x'"):
                 make_assignment(model.schema, {"x": iv})
+            with pytest.raises(AssignmentError, match="'x'"):
+                leaf_posterior(model, {"x": iv})
+            with pytest.raises(AssignmentError, match="'x'"):
+                event_probability(model, {"x": iv})
+            with pytest.raises(AssignmentError, match="'x'"):
+                event_probability(model, {"c": frozenset({0})}, {"x": iv})
+
+    def test_nan_bounds_rejected(self):
+        model = dirac_model()
+        for iv in (Interval(math.nan, 3.0), Interval(0.0, math.nan)):
             with pytest.raises(AssignmentError, match="'x'"):
                 leaf_posterior(model, {"x": iv})
             with pytest.raises(AssignmentError, match="'x'"):
@@ -292,6 +303,68 @@ class TestPosteriorDistributions:
         e = make_assignment(iris_model.schema, {"petal_length": (2.0, 5.0)})
         post = posterior_distributions(iris_model, e)["petal_length"]
         assert post.interval_probability(2.0, 5.0) == pytest.approx(1.0, abs=1e-9)
+
+
+def random_leaf_cdf(rng):
+    """A step-free CDF on integer hinges in [-4, 4], so that components share
+    hinges: a point mass, or several hinges with or without an atom at the
+    first."""
+    k = int(rng.integers(1, 6))
+    x = np.sort(rng.choice(np.arange(-4.0, 5.0), k, replace=False))
+    F = np.sort(rng.random(k))
+    if k > 1 and rng.random() < 0.3:
+        F[0] = 0.0
+    F[-1] = 1.0
+    return PiecewiseLinearCDF(np.column_stack([x, F]))
+
+
+class TestMergedMarginal:
+    """Numeric posterior marginals are the exact mixture CDF."""
+
+    def test_equals_the_mixture(self):
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            comps = [random_leaf_cdf(rng) for _ in range(int(rng.integers(1, 6)))]
+            w = rng.random(len(comps)) + 0.01
+            w /= w.sum()
+            merged = _merge_numeric(list(zip(w, comps)))
+            grid = np.unique(np.concatenate([d.x for d in comps]))
+            for g in np.concatenate([grid, (grid[1:] + grid[:-1]) / 2]):
+                assert merged.cdf(g) == pytest.approx(
+                    sum(wk * d.cdf(g) for wk, d in zip(w, comps)), abs=1e-12)
+                assert merged.cdf_left(g) == pytest.approx(
+                    sum(wk * d.cdf_left(g) for wk, d in zip(w, comps)), abs=1e-12)
+            mean = sum(wk * d.expectation() for wk, d in zip(w, comps))
+            assert abs(merged.expectation() - mean) <= 1e-12
+
+    def test_atoms_stay_at_their_hinges(self):
+        merged = _merge_numeric([(0.5, PiecewiseLinearCDF([[0, .5], [1, 1]])),
+                                 (0.5, PiecewiseLinearCDF([[2, .5], [3, 1]]))])
+        assert merged.x.tolist() == [0.0, 1.0, 2.0, 2.0, 3.0]
+        assert merged.F.tolist() == [0.25, 0.5, 0.5, 0.75, 1.0]
+        assert merged.expectation() == 1.25
+
+    def test_mean_matches_expectation_query(self, iris_model, toy_hybrid_model):
+        for model, spec in ((iris_model, {"petal_width": (0.2, 1.5)}),
+                            (iris_model, {"species": ["virginica", "setosa"]}),
+                            (toy_hybrid_model, {"x": (-1.0, 7.0)})):
+            e = make_assignment(model.schema, spec)
+            marginals = posterior_distributions(model, e)
+            for var in model.schema:
+                if var.numeric:
+                    mean = expectation_query(model, var.name, e)[0]
+                    assert marginals[var.name].expectation() == pytest.approx(mean, abs=1e-12)
+
+    def test_one_leaf_integer_model(self):
+        values = np.random.default_rng(0).integers(0, 10, 5000).astype(float)
+        model = learn(Dataset((Variable("x", "numeric"),), values[:, None]),
+                      LearnerConfig(max_depth=0, epsilon=0))
+        e = make_assignment(model.schema, {"x": (0, 3)})
+        assert event_probability(model, e) == pytest.approx(0.3992, abs=1e-12)
+        marginal = posterior_distributions(model, e)["x"]
+        want = np.mean(values == 0) / np.mean(values <= 3)
+        assert marginal.F[0] == pytest.approx(want, abs=1e-12)
+        assert round(want, 4) == 0.2630
 
 
 class TestExpectationQuery:

@@ -180,6 +180,18 @@ class TestLearn:
         with pytest.raises(DataError):
             learn(Dataset(schema, np.zeros((1, 1))).subset(np.array([], int)))
 
+    def test_overflowing_squares_rejected(self):
+        # 1.3**1499 is about 1e170, whose square overflows
+        x = 1.3 ** np.arange(1500.0)
+        schema = (Variable("s", "symbolic", ("a",)), Variable("big", "numeric"))
+        data = Dataset(schema, np.column_stack([np.zeros(1500), x]))
+        with pytest.raises(DataError, match="'big'"):
+            learn(data, LearnerConfig(min_samples_leaf=1))
+        # here x*x stays finite, but its sum over 1000 rows does not
+        data = Dataset(schema[1:], np.full((1000, 1), 1e153))
+        with pytest.raises(DataError, match="'big'"):
+            learn(data, LearnerConfig(min_samples_leaf=1))
+
     def test_ninety_percent_single_leaf(self, iris):
         model = learn(iris, LearnerConfig(min_samples_leaf=0.9))
         assert len(model.leaves) == 1

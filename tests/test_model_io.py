@@ -7,8 +7,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from probtree import (LearnerConfig, ModelFormatError, dumps, event_probability,
+from probtree import (Dirac, LearnerConfig, ModelFormatError, dumps, event_probability,
                       export_dot, learn, leaf_posterior, load, loads,
                       make_assignment, posterior_distributions, save)
 
@@ -205,6 +207,31 @@ MALFORMED = {
                                                min_impurity_improvement=float("nan")),
     "dirac-and-hinges": lambda d: d["leaves"][0]["distributions"]["x"].update(
         hinges=[[0, 0.5], [1, 1]]),
+    "dirac-string": lambda d: d["leaves"][0]["distributions"].update(x={"dirac": "1.5"}),
+    "hinge-strings": lambda d: d["leaves"][0]["distributions"].update(
+        x={"hinges": [["0", 0.5], ["1", 1]]}),
+    # a repeated x is a step, which only merged marginals have
+    "repeated-hinge": lambda d: d["leaves"][0]["distributions"].update(
+        x={"hinges": [[0, 0.5], [1, 0.7], [1, 0.8], [2, 1]]}),
+}
+
+
+def _locations(node, prefix=()):
+    """The path of every value inside a JSON document."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _locations(value, prefix + (key,))
+
+
+MUTATIONS = {
+    "drop": None,
+    "nan": lambda v: float("nan"),
+    "string": lambda v: "zzz",
+    "empty-list": lambda v: [],
+    # on a hinge list this repeats the first hinge: a step no leaf may have
+    "repeat-first": lambda v: v[:1] + v if isinstance(v, list) else v,
 }
 
 
@@ -219,6 +246,33 @@ class TestMalformedModels:
         MALFORMED[case](doc)
         with pytest.raises(ModelFormatError):
             loads(json.dumps(doc))
+
+    def test_one_hinge_loads_as_the_point_mass(self):
+        doc = small_model_doc()
+        doc["leaves"][0]["distributions"]["x"] = {"hinges": [[1.0, 1]]}
+        model = loads(json.dumps(doc))
+        assert model.leaves[0].distributions["x"] == Dirac(1.0)
+        assert dumps(model) == dumps(loads(json.dumps(small_model_doc())))
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_documents_raise_only_model_format_error(self, data):
+        doc = small_model_doc()
+        doc["leaves"][2]["distributions"]["x"] = {"hinges": [[5.5, 0.2], [6, 0.5], [7, 1]]}
+        for _ in range(data.draw(st.integers(1, 3))):
+            path = data.draw(st.sampled_from(list(_locations(doc))))
+            name = data.draw(st.sampled_from(sorted(MUTATIONS)))
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            if MUTATIONS[name] is None:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = MUTATIONS[name](parent[path[-1]])
+        try:
+            loads(json.dumps(doc))
+        except ModelFormatError:
+            pass
 
     def test_too_deep_tree_rejected(self):
         # x <= 1200 ? (x <= 1199 ? (...) : leaf) : leaf, 1200 splits deep

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probtree import (Dirac, DistributionError, PiecewiseLinearCDF,
-                      build_quantile_dataset, cdf_learn)
+from probtree import (Dirac, DistributionError, LearnerConfig,
+                      PiecewiseLinearCDF, build_quantile_dataset, cdf_learn,
+                      learn)
 
 from conftest import random_plf
 
@@ -351,7 +352,7 @@ class TestInvariants:
     def test_fit_is_valid_distribution(self, samples, eps):
         pts = build_quantile_dataset(samples)
         dist = cdf_learn(pts, eps)
-        if isinstance(dist, Dirac):
+        if len(dist.x) == 1:
             return
         assert np.all(np.diff(dist.x) > 0)
         assert np.all(np.diff(dist.F) >= 0)
@@ -369,3 +370,84 @@ class TestInvariants:
     def test_json_encoding(self):
         assert UNIFORM.to_json() == {"hinges": [[0.0, 0.0], [1.0, 1.0]]}
         assert Dirac(2.5).to_json() == {"dirac": 2.5}
+
+
+# atoms of 0.2 at 0, 0.3 at 1 (a step) and 0.2 at 3 (a final step)
+STEPPED = PiecewiseLinearCDF([[0.0, 0.2], [1.0, 0.4], [1.0, 0.7], [2.0, 0.8],
+                              [3.0, 0.8], [3.0, 1.0]])
+
+
+class TestAtoms:
+    """Point masses at the first hinge, at a lone hinge and at a step."""
+
+    def test_closed_interval_counts_first_hinge_atom(self):
+        plf = PiecewiseLinearCDF([[0, .5], [1, 1]])
+        assert plf.interval_probability(0, 1) == 1.0
+        assert plf.interval_probability(0, 0) == 0.5
+        assert plf.crop(0, 0.5).F.tolist() == [0.5 / 0.75, 1.0]
+
+    def test_left_limit_is_cdf_where_no_atom(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            plf = random_plf(rng, zero_start=bool(rng.integers(0, 2)))
+            for x in np.concatenate([plf.x[1:], rng.uniform(-12, 12, 20)]):
+                assert plf.cdf_left(x) == plf.cdf(x)
+            assert plf.cdf_left(plf.x[0]) == 0.0
+
+    def test_bound_at_first_hinge_equals_bound_below(self, iris):
+        for fraction in (0.4, 0.1, 0.02, 2):
+            model = learn(iris, LearnerConfig(min_samples_leaf=fraction))
+            for leaf in model.leaves:
+                for var in model.schema[:4]:
+                    d = leaf.distributions[var.name]
+                    for u in np.append(d.x, d.x[-1] + 1.0):
+                        assert (d.interval_probability(d.x[0], u)
+                                == d.interval_probability(d.x[0] - 1e-9, u))
+
+    def test_step(self):
+        assert (STEPPED.cdf_left(1.0), STEPPED.cdf(1.0)) == (0.4, 0.7)
+        assert (STEPPED.cdf_left(3.0), STEPPED.cdf(3.0)) == (0.8, 1.0)
+        assert (STEPPED.cdf_left(0.0), STEPPED.cdf(0.0)) == (0.0, 0.2)
+        assert STEPPED.cdf_left(0.5) == STEPPED.cdf(0.5) == pytest.approx(0.3)
+        assert STEPPED.interval_probability(1.0, 1.0) == pytest.approx(0.3)
+        assert STEPPED.interval_probability(2.0, 3.0) == pytest.approx(0.2)
+        assert STEPPED.ppf_vec(np.array([0.5, 0.7, 0.9])).tolist() == [1.0, 1.0, 3.0]
+
+    def test_step_expectation(self):
+        # pieces of mass 0.2 on [0, 1] and 0.1 on [1, 2]
+        want = 0.2 * 0 + 0.2 * 0.5 + 0.3 * 1 + 0.1 * 1.5 + 0.2 * 3
+        assert STEPPED.expectation() == pytest.approx(want, abs=1e-15)
+
+    def test_step_density_never_divides_by_zero(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert STEPPED.density(1.0) == pytest.approx(0.1)
+            assert STEPPED.density(3.0) == 0.0  # the plateau ending below the step
+            assert Dirac(2.0).density(2.0) == 1.0
+
+    def test_crop_keeps_steps(self):
+        c = STEPPED.crop(1.0, 3.0)
+        assert c.x.tolist() == [1.0, 2.0, 3.0, 3.0]
+        assert c.F == pytest.approx([0.5, 2 / 3, 2 / 3, 1.0])
+        c = STEPPED.crop(0.5, 1.0)
+        assert c.x.tolist() == [0.5, 1.0, 1.0]
+        assert c.F == pytest.approx([0.0, 0.1 / 0.4, 1.0])
+
+    def test_one_hinge_is_the_point_mass(self):
+        d = PiecewiseLinearCDF([[2.0, 1.0]])
+        assert d == Dirac(2.0)
+        assert d.to_json() == {"dirac": 2.0}
+        assert (d.expectation(), d.confidence_interval(0.9)) == (2.0, (2.0, 2.0))
+        assert d.crop(1.0, 3.0) == d
+        assert (d.support, d.parameter_count()) == ((2.0, 2.0), 1)
+
+    @pytest.mark.parametrize("hinges", [
+        [],
+        [[0.0, 0.5]],
+        [[0.0, 0.2], [0.0, 0.5], [1.0, 1.0]],
+        [[1.0, 0.5], [0.0, 1.0]],
+        [[math.nan, 1.0]],
+    ], ids=["empty", "lone-hinge-below-1", "step-at-first-hinge", "decreasing-x", "nan"])
+    def test_malformed_rejected(self, hinges):
+        with pytest.raises(DistributionError):
+            PiecewiseLinearCDF(hinges)
