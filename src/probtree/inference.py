@@ -218,9 +218,10 @@ def _max_density_point(dist):
     piece (leftmost on ties), or a point mass's value with unit density."""
     if len(dist.x) == 1:
         return float(dist.x[0]), 1.0
-    slopes = np.diff(dist.F) / np.diff(dist.x)
-    k = int(np.argmax(slopes))
-    return float((dist.x[k] + dist.x[k + 1]) / 2.0), float(slopes[k])
+    x, F = dist.x, dist.F
+    slopes = (F[1:] - F[:-1]) / (x[1:] - x[:-1])
+    k = int(slopes.argmax())
+    return float((x[k] + x[k + 1]) / 2.0), float(slopes[k])
 
 
 def mpe(model: TreeModel, e: Assignment | None = None):

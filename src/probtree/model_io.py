@@ -8,8 +8,8 @@ import math
 from .data import Interval, Variable
 from .learner import (EQUALS, THRESHOLD, DecisionNode, Leaf, LearnerConfig,
                       SplitCriterion, TreeModel, child_paths)
-from .multinomial import Multinomial
-from .plcdf import DistributionError, numeric_from_json
+from .multinomial import histograms_from_json
+from .plcdf import ColumnError, DistributionError, cdfs_from_json
 
 FORMAT_VERSION = 1
 
@@ -86,35 +86,45 @@ def loads(text: str) -> TreeModel:
     except (AttributeError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"config: {exc}") from None
 
-    leaves = []
+    leaves, columns = [], {name: [] for name in by_name}
     try:
         for k, entry in enumerate(doc["leaves"]):
             if not isinstance(entry["distributions"], dict):
                 raise ModelFormatError(f"leaves[{k}]: distributions must be an object")
-            dists = {}
             for name, dj in entry["distributions"].items():
                 if name not in by_name:
                     raise ModelFormatError(f"leaves[{k}]: unknown variable {name!r}")
-                var = by_name[name]
-                dists[name] = (Multinomial.from_json(var, dj) if var.symbolic
-                               else numeric_from_json(dj))
-            missing = set(by_name) - set(dists)
+                columns[name].append(dj)
+            missing = set(by_name) - set(entry["distributions"])
             if missing:
                 raise ModelFormatError(f"leaves[{k}]: missing distributions for {sorted(missing)}")
             prior, count = float(entry["prior"]), float(entry["sample_count"])
             if not (0 < prior < math.inf and 0 < count < math.inf):
                 raise ModelFormatError(f"leaves[{k}]: prior and sample_count must be "
                                        f"finite and positive")
-            leaves.append(Leaf(index=k, prior=prior, distributions=dists, path={},
-                               sample_count=count))
+            # the distributions keep the document's key order; the columns fill them
+            leaves.append(Leaf(index=k, prior=prior,
+                               distributions=dict.fromkeys(entry["distributions"]),
+                               path={}, sample_count=count))
     except ModelFormatError:
         raise
-    except (AttributeError, KeyError, TypeError, ValueError, DistributionError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"leaves: {exc}") from None
 
     total_prior = sum(leaf.prior for leaf in leaves)
     if not leaves or abs(total_prior - 1.0) > 1e-9:
         raise ModelFormatError(f"leaves: priors must be positive and sum to 1, got {total_prior}")
+
+    for var in schema:
+        try:
+            dists = (histograms_from_json(var, columns[var.name]) if var.symbolic
+                     else cdfs_from_json(columns[var.name]))
+        except ColumnError as exc:
+            raise ModelFormatError(f"leaves[{exc.entry}].{var.name}: {exc}") from None
+        except DistributionError as exc:
+            raise ModelFormatError(f"leaves: {var.name}: {exc}") from None
+        for leaf, dist in zip(leaves, dists):
+            leaf.distributions[var.name] = dist
 
     nodes = doc.get("nodes")
     if not isinstance(nodes, list) or not nodes:

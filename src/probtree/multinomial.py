@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .data import Variable
-from .plcdf import DistributionError
+from .plcdf import ColumnError, DistributionError
 
 
 def entropy_rel(counts) -> np.ndarray:
@@ -32,11 +32,12 @@ class Multinomial:
     def __init__(self, variable: Variable, probabilities):
         if not variable.symbolic:
             raise DistributionError(f"{variable.name!r} is not symbolic")
-        p = np.asarray(probabilities, dtype=float)
-        if p.shape != (len(variable.domain),):
+        p = _table([probabilities], len(variable.domain))
+        if p is None:
             raise DistributionError("probability vector does not match domain size")
-        if np.any(p < 0) or np.any(p > 1) or abs(p.sum() - 1.0) > 1e-9:
-            raise DistributionError("probabilities must lie in [0, 1] and sum to 1")
+        if _improper(p)[0]:
+            raise DistributionError(_IMPROPER)
+        p = p[0]
         p.setflags(write=False)
         self.variable = variable
         self.p = p
@@ -94,9 +95,7 @@ class Multinomial:
 
     @staticmethod
     def from_json(variable: Variable, obj: dict) -> "Multinomial":
-        if tuple(obj.get("domain", ())) != variable.domain:
-            raise DistributionError(f"histogram domain mismatch for {variable.name!r}")
-        return Multinomial(variable, obj["p"])
+        return histograms_from_json(variable, [obj])[0]
 
     def __eq__(self, other):
         return (isinstance(other, Multinomial)
@@ -105,3 +104,56 @@ class Multinomial:
 
     def __repr__(self):
         return f"Multinomial({self.variable.name}, {np.round(self.p, 4).tolist()})"
+
+
+_IMPROPER = "probabilities must lie in [0, 1] and sum to 1"
+
+
+def _table(rows, k: int):
+    """``rows`` as a float [row, k] array, or None if some row is not k
+    numbers."""
+    try:
+        p = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError):
+        return None
+    return p if p.shape == (len(rows), k) else None
+
+
+def _improper(p: np.ndarray) -> np.ndarray:
+    """Which rows of the [row, k] table ``p`` are not distributions: a value
+    outside [0, 1], NaN included, or a sum off 1 by more than 1e-9."""
+    return ~(((p >= 0.0) & (p <= 1.0)).all(axis=1) & (abs(p.sum(axis=1) - 1.0) <= 1e-9))
+
+
+def histograms_from_json(variable: Variable, objs) -> list[Multinomial]:
+    """Leaf histograms of the symbolic ``variable`` from a column of their
+    JSON objects ``{"domain": [...], "p": [...]}``.
+
+    The probabilities are packed into one [leaf, k] table and checked at
+    once, and each histogram's ``p`` is a read-only row view of it. Any
+    fault raises ColumnError naming the first entry that has one.
+    """
+    domain = list(variable.domain)
+    rows = []
+    for k, obj in enumerate(objs):
+        if not isinstance(obj, dict) or obj.get("domain") != domain:
+            raise ColumnError(k, f"histogram domain mismatch for {variable.name!r}")
+        if "p" not in obj:
+            raise ColumnError(k, "histogram has no 'p'")
+        rows.append(obj["p"])
+    p = _table(rows, len(domain))
+    if p is None:
+        for k, row in enumerate(rows):
+            if _table([row], len(domain)) is None:
+                raise ColumnError(k, "probability vector does not match domain size")
+        raise DistributionError("probability vectors do not match domain size")
+    bad = _improper(p)
+    if bad.any():
+        raise ColumnError(int(bad.argmax()), _IMPROPER)
+    p.setflags(write=False)
+    out = []
+    for row in p:
+        m = Multinomial.__new__(Multinomial)
+        m.variable, m.p = variable, row
+        out.append(m)
+    return out

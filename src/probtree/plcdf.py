@@ -18,6 +18,14 @@ class DistributionError(ValueError):
     """Raised for invalid distribution parameters or undefined operations."""
 
 
+class ColumnError(DistributionError):
+    """Entry ``entry`` of a column of leaf distributions is invalid."""
+
+    def __init__(self, entry: int, message: str):
+        super().__init__(message)
+        self.entry = entry
+
+
 def build_quantile_dataset(samples, weights=None) -> tuple[np.ndarray, np.ndarray]:
     """Turn weighted samples into the empirical quantile curve
     ``(values, quantiles)``: sorted distinct values and their cumulative
@@ -65,27 +73,18 @@ class PiecewiseLinearCDF:
     __slots__ = ("x", "F", "_steps")
 
     def __init__(self, hinges):
-        arr = np.asarray(hinges)
-        if arr.dtype.kind not in "biuf" or arr.ndim != 2 or arr.shape[1] != 2 or not len(arr):
+        arr = _hinge_table(hinges)
+        if arr is None or not len(arr):
             raise DistributionError("need at least one (x, F) hinge of numbers")
-        arr = arr.astype(float, copy=False)
-        if not np.isfinite(arr).all():
-            raise DistributionError("hinges must be finite")
-        x, F = arr[:, 0].copy(), arr[:, 1].copy()
-        if (x[1:] < x[:-1]).any():
-            raise DistributionError("hinge x values must be non-decreasing")
-        if len(x) > 1 and x[1] == x[0]:
-            raise DistributionError("no step at the first hinge: F[0] is its atom")
-        if (F[1:] < F[:-1]).any():
-            raise DistributionError("hinge F values must be non-decreasing")
-        if F[0] < 0 or F[-1] != 1.0:
-            raise DistributionError("hinge F values must start >= 0 and end at exactly 1")
-        x.setflags(write=False)
-        F.setflags(write=False)
-        self.x = x
-        self.F = F
+        fault = _hinge_fault(arr, *_ONE_SEGMENT)
+        if fault:
+            raise DistributionError(fault[1])
+        xF = arr.T.copy()
+        xF.setflags(write=False)
+        self.x = x = xF[0]
+        self.F = xF[1]
         # whether an x repeats: only then can an atom sit above x[0]
-        self._steps = bool((x[1:] == x[:-1]).any())
+        self._steps = np.count_nonzero(x[1:] == x[:-1]) > 0
 
     # -- evaluation ---------------------------------------------------------
 
@@ -161,8 +160,8 @@ class PiecewiseLinearCDF:
     def expectation(self) -> float:
         """Mean: the atom at x[0] plus each piece's mass at its midpoint,
         which for a step is its x."""
-        mid = (self.x[1:] + self.x[:-1]) / 2.0
-        return float(self.F[0] * self.x[0] + np.sum(np.diff(self.F) * mid))
+        x, F = self.x, self.F
+        return float(F[0] * x[0] + np.sum((F[1:] - F[:-1]) * ((x[1:] + x[:-1]) / 2.0)))
 
     def crop(self, l: float, u: float) -> "PiecewiseLinearCDF":
         """Condition on [l, u]: shift to zero and renormalize to mass 1."""
@@ -227,18 +226,128 @@ def Dirac(value: float) -> PiecewiseLinearCDF:
     return PiecewiseLinearCDF([[value, 1.0]])
 
 
-def numeric_from_json(obj: dict) -> PiecewiseLinearCDF:
-    """A leaf's numeric distribution, which has no steps, from its JSON."""
-    if "dirac" in obj and "hinges" in obj:
-        raise DistributionError("numeric distribution has both 'dirac' and 'hinges'")
-    if "dirac" in obj:
-        return Dirac(obj["dirac"])
-    if "hinges" in obj:
-        dist = PiecewiseLinearCDF(obj["hinges"])
-        if dist._steps:
-            raise DistributionError("leaf hinge x values must be strictly increasing")
-        return dist
-    raise DistributionError(f"unrecognized numeric distribution encoding: {sorted(obj)}")
+def _hinge_table(hinges):
+    """``hinges`` as a float array of (x, F) rows, or None if they are not
+    rows of two numbers."""
+    try:
+        arr = np.asarray(hinges)
+    except ValueError:  # ragged rows
+        return None
+    if arr.dtype.kind not in "biuf" or arr.ndim != 2 or arr.shape[1] != 2:
+        return None
+    return arr.astype(float, copy=False)
+
+
+# the first and last row of a table that holds one segment
+_ONE_SEGMENT = (0, -1)
+
+_HINGE_RULES = (
+    "hinges must be finite",
+    "hinge x values must be non-decreasing",
+    "no step at the first hinge: F[0] is its atom",
+    "hinge F values must be non-decreasing",
+    "hinge F values must start >= 0 and end at exactly 1",
+    "leaf hinge x values must be strictly increasing",
+)
+
+
+def _rises(h, last):
+    """Each row's rise (dx, dF) to the next row of its segment; 1 at a
+    segment's last row, which has no next one and so breaks no rule."""
+    d = np.empty_like(h)
+    np.subtract(h[1:], h[:-1], out=d[:-1])
+    d[last] = 1.0
+    return d
+
+
+def _hinge_fault(h, first, last, strict: bool = False):
+    """Where packed hinges break the CDF rules: ``(i, rule)`` for the first
+    segment ``i`` that breaks one and the first rule it breaks, or None.
+
+    ``h`` holds the (x, F) rows of every segment in order, and segment i
+    runs from row ``first[i]`` to row ``last[i]``; ``first`` and ``last``
+    are index arrays, or the rows 0 and -1 for a table of one segment. In
+    each segment the values are finite, x is non-decreasing with no step at
+    the first hinge, and F is non-decreasing from at least 0 to exactly 1.
+    ``strict`` adds the leaf rule that no x repeats.
+    """
+    # np.count_nonzero is a cheaper test than .any() or .all() on the few
+    # hinges of one CDF, which every crop and merge builds
+    if np.count_nonzero(np.isfinite(h)) == h.size:
+        d = _rises(h, last)
+        bad = d < 0
+        bad[first, 0] |= d[first, 0] == 0
+        # a segment's last row has no rise: its F slot takes the end rules
+        bad[last, 1] = (h[first, 1] < 0) | (h[last, 1] != 1)
+        if not (np.count_nonzero(bad) or strict and np.count_nonzero(d[:, 0] == 0)):
+            return None
+    # a rule is broken: mark the rows that break each one, in rule order
+    rows = np.arange(len(h))
+    first, last = np.atleast_1d(rows[first]), np.atleast_1d(rows[last])
+    with np.errstate(invalid="ignore"):  # rises between non-finite values
+        d = _rises(h, last)
+    faults = np.zeros((len(_HINGE_RULES), len(h)), dtype=bool)
+    faults[0] = ~np.isfinite(h).all(axis=1)
+    faults[1] = d[:, 0] < 0
+    faults[2, first] = d[first, 0] == 0
+    faults[3] = d[:, 1] < 0
+    faults[4, first] = h[first, 1] < 0
+    faults[4, last] |= h[last, 1] != 1
+    faults[5] = strict & (d[:, 0] == 0)
+    # rows run in segment order, so the first marked row is in the first
+    # segment that breaks a rule
+    i = int(first.searchsorted(faults.any(axis=0).argmax(), side="right")) - 1
+    rule = int(faults[:, first[i]:last[i] + 1].any(axis=1).argmax())
+    return i, _HINGE_RULES[rule]
+
+
+def cdfs_from_json(objs) -> list[PiecewiseLinearCDF]:
+    """Leaf numeric distributions, which have no steps, from a column of
+    their JSON objects: ``{"hinges": [[x, F], ...]}``, or ``{"dirac": v}``
+    for the one hinge ``[v, 1]``.
+
+    All hinges are packed into one table and checked at once, and each CDF
+    gets read-only views ``x[a:b]`` and ``F[a:b]`` of it. Any fault raises
+    ColumnError naming the first entry that has one.
+    """
+    rows, sizes = [], []
+    for k, obj in enumerate(objs):
+        if not isinstance(obj, dict):
+            raise ColumnError(k, "numeric distribution must be an object")
+        if "dirac" in obj and "hinges" in obj:
+            raise ColumnError(k, "numeric distribution has both 'dirac' and 'hinges'")
+        if "dirac" in obj:
+            if not isinstance(obj["dirac"], (int, float)):
+                raise ColumnError(k, "'dirac' must be a number")
+            rows.append((obj["dirac"], 1.0))
+            sizes.append(1)
+        elif "hinges" in obj:
+            if not isinstance(obj["hinges"], list) or not obj["hinges"]:
+                raise ColumnError(k, "'hinges' must be a non-empty list")
+            rows += obj["hinges"]
+            sizes.append(len(obj["hinges"]))
+        else:
+            raise ColumnError(k, f"unrecognized numeric distribution encoding: {sorted(obj)}")
+    last = np.cumsum(sizes) - 1
+    first = last - sizes + 1
+    h = _hinge_table(rows)
+    if h is None:
+        for k, (a, b) in enumerate(zip(first, last + 1)):
+            if _hinge_table(rows[a:b]) is None:
+                raise ColumnError(k, "need (x, F) hinges of numbers")
+        raise DistributionError("need (x, F) hinges of numbers")
+    fault = _hinge_fault(h, first, last, strict=True)
+    if fault:
+        raise ColumnError(*fault)
+    xF = h.T.copy()
+    xF.setflags(write=False)
+    x, F = xF
+    out = []
+    for a, b in zip(first.tolist(), (last + 1).tolist()):
+        d = PiecewiseLinearCDF.__new__(PiecewiseLinearCDF)
+        d.x, d.F, d._steps = x[a:b], F[a:b], False
+        out.append(d)
+    return out
 
 
 def _chord_sse(prefix, a: int, b: int, d: np.ndarray, g: np.ndarray):

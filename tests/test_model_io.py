@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probtree import (Dirac, LearnerConfig, ModelFormatError, dumps, event_probability,
-                      export_dot, learn, leaf_posterior, load, loads,
-                      make_assignment, posterior_distributions, save)
+from probtree import (Dirac, LearnerConfig, ModelFormatError, PiecewiseLinearCDF, cli,
+                      dumps, event_probability, export_dot, learn, leaf_posterior, load,
+                      loads, make_assignment, posterior_distributions, save)
 
 
 class TestRoundTrip:
@@ -213,6 +213,17 @@ MALFORMED = {
     # a repeated x is a step, which only merged marginals have
     "repeated-hinge": lambda d: d["leaves"][0]["distributions"].update(
         x={"hinges": [[0, 0.5], [1, 0.7], [1, 0.8], [2, 1]]}),
+    "ragged-hinge": lambda d: d["leaves"][1]["distributions"].update(
+        x={"hinges": [[0, 0.5], [1]]}),
+    # a string must not be read as a list of characters
+    "hinges-string": lambda d: d["leaves"][0]["distributions"].update(x={"hinges": "zzz"}),
+    "hinges-empty": lambda d: d["leaves"][2]["distributions"].update(x={"hinges": []}),
+    "dirac-list": lambda d: d["leaves"][1]["distributions"].update(x={"dirac": [1, 2]}),
+    "p-wrong-length": lambda d: d["leaves"][2]["distributions"]["s"].update(p=[0.5, 0.5]),
+    "nan-probability": lambda d: d["leaves"][1]["distributions"]["s"].update(
+        p=[float("nan"), 0.5, 0.5]),
+    # tuple("abc") would equal the domain ("a", "b", "c")
+    "domain-string": lambda d: d["leaves"][1]["distributions"]["s"].update(domain="abc"),
 }
 
 
@@ -246,6 +257,41 @@ class TestMalformedModels:
         MALFORMED[case](doc)
         with pytest.raises(ModelFormatError):
             loads(json.dumps(doc))
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_cli_exits_1_with_an_error_line(self, case, tmp_path, capsys):
+        doc = small_model_doc()
+        MALFORMED[case](doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["query", "--model", str(path), "--q", "s = a"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_errors_name_the_leaf_and_variable(self):
+        doc = small_model_doc()
+        doc["leaves"][2]["distributions"]["x"] = {"hinges": [[5.5, 0.2], [6, 0.1], [7, 1]]}
+        with pytest.raises(ModelFormatError, match=r"^leaves\[2\]\.x: hinge F values"):
+            loads(json.dumps(doc))
+        doc = small_model_doc()
+        doc["leaves"][1]["distributions"]["s"]["p"] = [0.2, 0.3, 0.6]
+        with pytest.raises(ModelFormatError, match=r"^leaves\[1\]\.s: probabilities"):
+            loads(json.dumps(doc))
+
+    def test_loaded_distributions_are_read_only_views(self):
+        doc = small_model_doc()
+        hinges = [[5.5, 0.2], [6, 0.5], [7, 1]]
+        doc["leaves"][2]["distributions"]["x"] = {"hinges": hinges}
+        leaves = loads(json.dumps(doc)).leaves
+        assert leaves[2].distributions["x"] == PiecewiseLinearCDF(hinges)
+        assert leaves[0].distributions["x"] == PiecewiseLinearCDF([[1.0, 1.0]])
+        for leaf in leaves:
+            x, s = leaf.distributions["x"], leaf.distributions["s"]
+            for arr in (x.x, x.F, s.p):
+                with pytest.raises(ValueError):
+                    arr[0] = 0.5
+        assert leaves[2].distributions["x"].cdf_left(6.0) == 0.5
 
     def test_one_hinge_loads_as_the_point_mass(self):
         doc = small_model_doc()

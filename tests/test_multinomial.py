@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probtree import DistributionError, Multinomial, Variable
+from probtree.multinomial import histograms_from_json
+from probtree.plcdf import ColumnError
 
 COLOR = Variable("color", "symbolic", ("Blue", "Green", "Red"))
 COIN = Variable("coin", "symbolic", ("heads", "tails"))
@@ -21,6 +23,14 @@ class TestConstruction:
     def test_negative_rejected(self):
         with pytest.raises(DistributionError):
             Multinomial(COIN, [1.5, -0.5])
+
+    def test_value_outside_unit_interval_rejected(self):
+        with pytest.raises(DistributionError):
+            Multinomial(COLOR, [0.6, 0.6, -0.2])
+
+    def test_nan_rejected(self):
+        with pytest.raises(DistributionError):
+            Multinomial(COLOR, [np.nan, 0.5, 0.5])
 
     def test_fit_from_counts(self):
         m = Multinomial.fit(COIN, [3, 1])
@@ -110,3 +120,24 @@ class TestJson:
     def test_encoding_shape(self):
         obj = Multinomial(COIN, [0.75, 0.25]).to_json()
         assert obj == {"domain": ["heads", "tails"], "p": [0.75, 0.25]}
+
+    @pytest.mark.parametrize("change, rule", [
+        ({"p": [0.5, 0.5]}, "domain size"),
+        ({"p": [0.6, 0.3, 0.2]}, "sum to 1"),
+        ({"p": [0.5, "x", 0.5]}, "domain size"),
+        ({"domain": ["Blue"]}, "domain mismatch"),
+        ({"domain": "BGR"}, "domain mismatch"),
+    ])
+    def test_column_names_the_first_bad_entry(self, change, rule):
+        good = Multinomial(COLOR, [0.5, 0.3, 0.2]).to_json()
+        bad = {**good, **change}
+        with pytest.raises(ColumnError, match=rule) as info:
+            histograms_from_json(COLOR, [good, bad, bad])
+        assert info.value.entry == 1
+
+    def test_column_rows_are_read_only_views(self):
+        rows = [[0.5, 0.3, 0.2], [0.0, 0.0, 1.0]]
+        hists = histograms_from_json(COLOR, [{"domain": list(COLOR.domain), "p": p} for p in rows])
+        assert hists == [Multinomial(COLOR, p) for p in rows]
+        with pytest.raises(ValueError):
+            hists[1].p[0] = 1.0

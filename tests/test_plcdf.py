@@ -10,6 +10,8 @@ from probtree import (Dirac, DistributionError, LearnerConfig,
                       PiecewiseLinearCDF, build_quantile_dataset, cdf_learn,
                       learn)
 
+from probtree.plcdf import ColumnError, cdfs_from_json
+
 from conftest import random_plf
 
 UNIFORM = PiecewiseLinearCDF([[0.0, 0.0], [1.0, 1.0]])
@@ -447,7 +449,70 @@ class TestAtoms:
         [[0.0, 0.2], [0.0, 0.5], [1.0, 1.0]],
         [[1.0, 0.5], [0.0, 1.0]],
         [[math.nan, 1.0]],
-    ], ids=["empty", "lone-hinge-below-1", "step-at-first-hinge", "decreasing-x", "nan"])
+        [[0.0, 0.5], [1.0]],
+    ], ids=["empty", "lone-hinge-below-1", "step-at-first-hinge", "decreasing-x", "nan",
+            "ragged"])
     def test_malformed_rejected(self, hinges):
         with pytest.raises(DistributionError):
             PiecewiseLinearCDF(hinges)
+
+
+HINGE_VALUES = st.tuples(st.sampled_from([-1.0, 0.0, 1.0, 2.0, math.inf, math.nan]),
+                         st.sampled_from([-0.5, 0.0, 0.5, 1.0, 1.5, math.nan]))
+
+
+class TestPackedColumn:
+    @given(st.lists(st.lists(HINGE_VALUES, min_size=1, max_size=4), min_size=1, max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_column_reports_what_the_constructor_reports(self, entries):
+        """A packed column fails at its first entry that the constructor,
+        plus the leaf rule of no repeated x, rejects, with the same rule."""
+        expected = None
+        for k, hinges in enumerate(entries):
+            try:
+                if PiecewiseLinearCDF(hinges)._steps:
+                    expected = (k, "leaf hinge x values must be strictly increasing")
+            except DistributionError as exc:
+                expected = (k, str(exc))
+            if expected:
+                break
+        column = [{"hinges": [list(h) for h in hinges]} for hinges in entries]
+        try:
+            cdfs = cdfs_from_json(column)
+        except ColumnError as exc:
+            assert (exc.entry, str(exc)) == expected
+        else:
+            assert expected is None
+            assert cdfs == [PiecewiseLinearCDF(hinges) for hinges in entries]
+
+    @pytest.mark.parametrize("hinges, rule", [
+        ([[0.0, 0.5], [math.inf, 1.0]], "finite"),
+        ([[0.0, 0.5], [2.0, 0.7], [1.0, 1.0]], "x values must be non-decreasing"),
+        ([[0.0, 0.5], [0.0, 0.7], [1.0, 1.0]], "no step at the first hinge"),
+        ([[0.0, 0.5], [1.0, 0.4], [2.0, 1.0]], "F values must be non-decreasing"),
+        ([[0.0, -0.5], [1.0, 1.0]], "start >= 0"),
+        ([[0.0, 0.5], [1.0, 0.9]], "end at exactly 1"),
+        ([[0.0, 0.5], [1.0, 0.7], [1.0, 0.8], [2.0, 1.0]], "strictly increasing"),
+    ])
+    def test_each_rule_located_between_valid_entries(self, hinges, rule):
+        valid = [{"hinges": [[0.0, 0.5], [1.0, 1.0]]}, {"dirac": 2.0}]
+        with pytest.raises(ColumnError, match=rule) as info:
+            cdfs_from_json(valid + [{"hinges": hinges}] + valid)
+        assert info.value.entry == 2
+        if rule != "strictly increasing":
+            with pytest.raises(DistributionError, match=rule):
+                PiecewiseLinearCDF(hinges)
+
+    def test_dirac_is_the_one_hinge_entry(self):
+        cdfs = cdfs_from_json([{"dirac": 2}, {"hinges": [[0, 0.5], [1, 1]]}, {"dirac": 3.5}])
+        assert cdfs == [Dirac(2.0), PiecewiseLinearCDF([[0, 0.5], [1, 1]]), Dirac(3.5)]
+
+    @pytest.mark.parametrize("entry", [
+        "zzz", {}, {"dirac": 1.0, "hinges": [[1.0, 1.0]]}, {"dirac": "1"}, {"dirac": [1, 2]},
+        {"hinges": "zzz"}, {"hinges": []}, {"hinges": [[0, 0.5], [1]]},
+        {"hinges": [[0, 0.5], ["1", 1]]},
+    ])
+    def test_unparsable_entry_named(self, entry):
+        with pytest.raises(ColumnError) as info:
+            cdfs_from_json([{"dirac": 0.0}, {"hinges": [[0, 0.5], [1, 1]]}, entry, {"dirac": 1}])
+        assert info.value.entry == 2
