@@ -176,14 +176,7 @@ def _cmd_sample(args) -> int:
     model = load(args.model)
     e = parse_assignment(args.e, model.schema) if args.e else None
     rng = np.random.default_rng(args.seed)
-    drawn = sample(model, args.n, rng, e)
-    if args.out:
-        emit_csv(drawn, args.out)
-    else:
-        print(",".join(v.name for v in drawn.schema))
-        for i in range(len(drawn)):
-            print(",".join(lbl if isinstance(lbl, str) else repr(lbl)
-                           for lbl in drawn.row_labels(i)))
+    emit_csv(sample(model, args.n, rng, e), args.out or sys.stdout)
     return EXIT_OK
 
 

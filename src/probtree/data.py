@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -69,7 +70,10 @@ class Variable:
     def from_json(obj: dict) -> "Variable":
         if not isinstance(obj["name"], str):
             raise DataError(f"variable name {obj['name']!r} is not a string")
-        return Variable(obj["name"], obj["kind"], tuple(obj.get("domain", ())))
+        domain = obj.get("domain", [])
+        if not (isinstance(domain, list) and all(isinstance(label, str) for label in domain)):
+            raise DataError(f"domain of {obj['name']!r} must be a list of strings")
+        return Variable(obj["name"], obj["kind"], tuple(domain))
 
 
 @dataclass(frozen=True)
@@ -308,14 +312,6 @@ class Dataset:
     def subset(self, indices) -> "Dataset":
         return Dataset(self.schema, self.values[indices], self.weights[indices])
 
-    def row_labels(self, i: int) -> list:
-        """Row ``i`` with symbolic indices decoded back to labels."""
-        out = []
-        for j, var in enumerate(self.schema):
-            cell = self.values[i, j]
-            out.append(var.domain[int(cell)] if var.symbolic else float(cell))
-        return out
-
 
 def ingest_csv(path, schema_override: dict | None = None) -> Dataset:
     """Read an RFC-4180-style CSV with header into a typed Dataset.
@@ -376,9 +372,11 @@ def ingest_csv(path, schema_override: dict | None = None) -> Dataset:
     return Dataset(tuple(schema), np.column_stack(columns))
 
 
-def emit_csv(dataset: Dataset, path) -> None:
-    """Write a Dataset back to CSV with full-precision numeric cells."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+def emit_csv(dataset: Dataset, out) -> None:
+    """Write a Dataset back to CSV with full-precision numeric cells, to the
+    file at path ``out`` or to ``out`` itself if it is an open text stream."""
+    with (contextlib.nullcontext(out) if hasattr(out, "write")
+          else open(out, "w", newline="", encoding="utf-8")) as fh:
         writer = csv.writer(fh)
         writer.writerow([v.name for v in dataset.schema])
         for i in range(len(dataset)):
@@ -396,6 +394,11 @@ def load_schema_override(path) -> dict:
     if not isinstance(obj, dict):
         raise DataError("schema override must be a JSON object")
     return obj
+
+
+def is_number(value) -> bool:
+    """Whether ``value`` is an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _try_number(cell: str):

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import Assignment, DataError, Dataset, Interval, Variable
+from .data import Assignment, DataError, Dataset, Interval, Variable, is_number
 from .multinomial import Multinomial, entropy_rel
 from .plcdf import build_quantile_dataset, cdf_learn
 
@@ -123,7 +123,7 @@ class LearnerConfig:
 
     def __post_init__(self):
         m = self.min_samples_leaf
-        if isinstance(m, bool) or not isinstance(m, (int, float)):
+        if not is_number(m):
             raise DataError("min_samples_leaf must be a number")
         if isinstance(m, float) and not m.is_integer():
             if not 0.0 < m < 1.0:
@@ -133,12 +133,15 @@ class LearnerConfig:
                 raise DataError("min_samples_leaf must be positive")
         elif m < 1:
             raise DataError("absolute min_samples_leaf must be >= 1")
-        if not self.min_impurity_improvement >= 0:
-            raise DataError("min_impurity_improvement must be >= 0")
-        if not self.epsilon >= 0:
-            raise DataError("epsilon must be >= 0")
-        if self.max_depth is not None and self.max_depth < 0:
-            raise DataError("max_depth must be >= 0")
+        if not (is_number(self.min_impurity_improvement) and self.min_impurity_improvement >= 0):
+            raise DataError("min_impurity_improvement must be a number >= 0")
+        if not (is_number(self.epsilon) and self.epsilon >= 0):
+            raise DataError("epsilon must be a number >= 0")
+        d = self.max_depth
+        if d is not None and (isinstance(d, bool) or not isinstance(d, int) or d < 0):
+            raise DataError("max_depth must be an integer >= 0")
+        if self.targets is not None and not all(isinstance(t, str) for t in self.targets):
+            raise DataError("targets must be variable names")
 
     def resolve_min_weight(self, total_weight: float) -> float:
         m = self.min_samples_leaf
@@ -157,11 +160,14 @@ class LearnerConfig:
 
     @staticmethod
     def from_json(obj: dict) -> "LearnerConfig":
+        targets = obj.get("targets")
+        if targets is not None and not isinstance(targets, list):
+            raise DataError("targets must be a list of variable names")
         return LearnerConfig(
             min_samples_leaf=obj.get("min_samples_leaf", 0.1),
             min_impurity_improvement=obj.get("min_impurity_improvement", 0.0),
             epsilon=obj.get("epsilon", 0.05),
-            targets=tuple(obj["targets"]) if obj.get("targets") else None,
+            targets=tuple(targets) if targets else None,
             max_depth=obj.get("max_depth"),
         )
 
@@ -353,8 +359,29 @@ def child_paths(path: Assignment, crit: SplitCriterion):
     return {**path, var.name: left}, {**path, var.name: right}
 
 
+def grow(root, split) -> "DecisionNode | Leaf":
+    """Build a tree top-down from the item ``root``, depth-first, left child
+    first: ``split(item, path)`` returns a Leaf, or ``(criterion, left_item,
+    right_item)``, for the node ``item`` with region ``path``. The builder
+    gives each child its path by ``child_paths`` and sets each leaf's."""
+    top = DecisionNode(None, None, None)  # its left slot receives the root
+    stack = [(root, {}, top, "left")]
+    while stack:
+        item, path, parent, side = stack.pop()
+        node = split(item, path)
+        if isinstance(node, Leaf):
+            node.path = path
+        else:
+            crit, left, right = node
+            lp, rp = child_paths(path, crit)
+            node = DecisionNode(crit, None, None)
+            stack += (right, rp, node, "right"), (left, lp, node, "left")
+        setattr(parent, side, node)
+    return top.left
+
+
 def learn(data: Dataset, config: LearnerConfig | None = None) -> TreeModel:
-    """Induce a tree mixture model by recursive best-first splitting."""
+    """Induce a tree mixture model by best splits, depth-first, left child first."""
     config = config or LearnerConfig()
     if len(data) == 0:
         raise DataError("cannot learn from an empty dataset")
@@ -386,9 +413,7 @@ def learn(data: Dataset, config: LearnerConfig | None = None) -> TreeModel:
 
     leaves: list[Leaf] = []
 
-    def make_leaf(rows: np.ndarray, path: Assignment) -> Leaf:
-        values = data.values[rows]
-        weights = data.weights[rows]
+    def make_leaf(values: np.ndarray, weights: np.ndarray) -> Leaf:
         dists = {}
         for j, var in enumerate(schema):
             col = values[:, j]
@@ -400,21 +425,20 @@ def learn(data: Dataset, config: LearnerConfig | None = None) -> TreeModel:
                 points = build_quantile_dataset(col, weights)
                 dists[var.name] = cdf_learn(points, config.epsilon)
         leaf = Leaf(index=len(leaves), prior=float(weights.sum()) / total_weight,
-                    distributions=dists, path=path,
-                    sample_count=float(weights.sum()))
+                    distributions=dists, path={}, sample_count=float(weights.sum()))
         leaves.append(leaf)
         return leaf
 
-    def build(rows: np.ndarray, path: Assignment, depth: int):
+    def split(item, path: Assignment):
+        rows, depth = item
         values = data.values[rows]
         weights = data.weights[rows]
-        w = float(weights.sum())
-        if (w < 2 * min_weight
+        if (weights.sum() < 2 * min_weight
                 or (config.max_depth is not None and depth >= config.max_depth)):
-            return make_leaf(rows, path)
+            return make_leaf(values, weights)
         scope = _Scope(schema, scope_idx, values, weights)
         if scope.all_pure():
-            return make_leaf(rows, path)
+            return make_leaf(values, weights)
 
         best = None  # (improvement, criterion, column)
         for j in candidate_idx:
@@ -425,14 +449,11 @@ def learn(data: Dataset, config: LearnerConfig | None = None) -> TreeModel:
                 best = (*found, j)
 
         if best is None or best[0] <= config.min_impurity_improvement:
-            return make_leaf(rows, path)
+            return make_leaf(values, weights)
 
         _, crit, j = best
         left_mask = crit.matches(values[:, j])
-        left_path, right_path = child_paths(path, crit)
-        left = build(rows[left_mask], left_path, depth + 1)
-        right = build(rows[~left_mask], right_path, depth + 1)
-        return DecisionNode(crit, left, right)
+        return crit, (rows[left_mask], depth + 1), (rows[~left_mask], depth + 1)
 
-    root = build(np.arange(len(data)), {}, 0)
+    root = grow((np.arange(len(data)), 0), split)
     return TreeModel(schema=schema, root=root, leaves=leaves, config=config)

@@ -5,9 +5,9 @@ from __future__ import annotations
 import json
 import math
 
-from .data import Interval, Variable
+from .data import Interval, Variable, is_number
 from .learner import (EQUALS, THRESHOLD, DecisionNode, Leaf, LearnerConfig,
-                      SplitCriterion, TreeModel, child_paths)
+                      SplitCriterion, TreeModel, grow)
 from .multinomial import histograms_from_json
 from .plcdf import ColumnError, DistributionError, cdfs_from_json
 
@@ -18,31 +18,31 @@ class ModelFormatError(ValueError):
     """Raised when a model file is malformed or violates model invariants."""
 
 
-def dumps(model: TreeModel) -> str:
-    nodes = []
-
-    def encode(node) -> int:
-        idx = len(nodes)
+def _preorder(root) -> list:
+    """The nodes under ``root`` in preorder, left first, with their model-file entries."""
+    out, stack = [], [(root, {}, "root")]  # (node, parent's entry, the node's key there)
+    while stack:
+        node, parent, key = stack.pop()
+        parent[key] = len(out)
         if isinstance(node, Leaf):
-            nodes.append({"type": "leaf", "leaf": node.index})
-            return idx
-        entry = {"type": "split",
-                 "var": node.criterion.variable.name,
-                 "op": "le" if node.criterion.kind == THRESHOLD else "eq",
-                 "value": (node.criterion.threshold
-                           if node.criterion.kind == THRESHOLD
-                           else node.criterion.variable.domain[node.criterion.value_index])}
-        nodes.append(entry)
-        entry["left"] = encode(node.left)
-        entry["right"] = encode(node.right)
-        return idx
+            out.append((node, {"type": "leaf", "leaf": node.index}))
+            continue
+        crit = node.criterion
+        entry = {"type": "split", "var": crit.variable.name,
+                 "op": "le" if crit.kind == THRESHOLD else "eq",
+                 "value": (crit.threshold if crit.kind == THRESHOLD
+                           else crit.variable.domain[crit.value_index])}
+        out.append((node, entry))
+        stack += (node.right, entry, "right"), (node.left, entry, "left")
+    return out
 
-    encode(model.root)
+
+def dumps(model: TreeModel) -> str:
     doc = {
         "version": FORMAT_VERSION,
         "schema": [v.to_json() for v in model.schema],
         "config": model.config.to_json(),
-        "nodes": nodes,
+        "nodes": [entry for _, entry in _preorder(model.root)],
         "leaves": [{
             "prior": leaf.prior,
             "sample_count": leaf.sample_count,
@@ -98,7 +98,7 @@ def loads(text: str) -> TreeModel:
             missing = set(by_name) - set(entry["distributions"])
             if missing:
                 raise ModelFormatError(f"leaves[{k}]: missing distributions for {sorted(missing)}")
-            prior, count = float(entry["prior"]), float(entry["sample_count"])
+            prior, count = _json_float(entry["prior"]), _json_float(entry["sample_count"])
             if not (0 < prior < math.inf and 0 < count < math.inf):
                 raise ModelFormatError(f"leaves[{k}]: prior and sample_count must be "
                                        f"finite and positive")
@@ -132,7 +132,7 @@ def loads(text: str) -> TreeModel:
 
     visited, seen_leaves = set(), set()
 
-    def decode(idx, path: dict):
+    def split(idx, path: dict):
         if not _is_index(idx, len(nodes)) or idx in visited:
             raise ModelFormatError(f"nodes[{idx}]: out of range or reached twice")
         visited.add(idx)
@@ -143,34 +143,41 @@ def loads(text: str) -> TreeModel:
                 if not _is_index(k, len(leaves)) or k in seen_leaves:
                     raise ModelFormatError(f"nodes[{idx}]: leaf {k!r} out of range or "
                                            f"referenced twice")
+                # a split with an empty child region empties every path below it
+                if any(not r or isinstance(r, Interval) and r.empty for r in path.values()):
+                    raise ModelFormatError(f"nodes[{idx}]: leaf {k} has an empty region")
                 seen_leaves.add(k)
-                leaves[k].path = path
                 return leaves[k]
             var, op, value = by_name[entry["var"]], entry["op"], entry["value"]
-            if op == "le" and var.numeric and math.isfinite(float(value)):
-                crit = SplitCriterion(var, THRESHOLD, threshold=float(value))
+            threshold = _json_float(value)
+            if op == "le" and var.numeric and math.isfinite(threshold):
+                crit = SplitCriterion(var, THRESHOLD, threshold=threshold)
             elif op == "eq" and var.symbolic:
                 crit = SplitCriterion(var, EQUALS, value_index=var.index_of(value))
             else:
                 raise ModelFormatError(f"nodes[{idx}]: cannot split {var.kind} "
                                        f"{var.name!r} by {op!r} {value!r}")
-            lp, rp = child_paths(path, crit)
-            if any(not r or isinstance(r, Interval) and r.empty
-                   for r in (lp[var.name], rp[var.name])):
-                raise ModelFormatError(f"nodes[{idx}]: {crit.label()!r} has an empty child region")
-            return DecisionNode(crit, decode(entry["left"], lp), decode(entry["right"], rp))
+            return crit, entry["left"], entry["right"]
         except ModelFormatError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelFormatError(f"nodes[{idx}]: {exc}") from None
 
-    try:
-        root = decode(0, {})
-    except RecursionError:
-        raise ModelFormatError("nodes: tree too deep to decode") from None
+    root = grow(0, split)
     if len(seen_leaves) != len(leaves):
         raise ModelFormatError("nodes: tree does not reference every leaf exactly once")
     return TreeModel(schema=schema, root=root, leaves=leaves, config=config)
+
+
+def _json_float(value) -> float:
+    """A JSON number as a float, and NaN for any other value: a boolean, a
+    string, or an integer beyond the float range."""
+    if not is_number(value):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:
+        return math.nan
 
 
 def _is_index(value, n: int) -> bool:
@@ -197,31 +204,21 @@ def export_dot(model: TreeModel) -> str:
     prior, sample count and a per-variable expectation/argmax summary.
     """
     lines = ["digraph tree {", "  node [shape=box];"]
-    counter = [0]
-
-    def emit(node) -> str:
-        nid = f"n{counter[0]}"
-        counter[0] += 1
-        if isinstance(node, Leaf):
-            summary = []
-            for var in model.schema:
-                d = node.distributions[var.name]
-                if var.symbolic:
-                    summary.append(f"{var.name}: {var.domain[d.argmax()]}")
-                else:
-                    summary.append(f"{var.name}: {d.expectation():.4g}")
-            label = (f"leaf {node.index}\\nprior {node.prior:.4g}"
-                     f"\\nsamples {node.sample_count:g}\\n" + "\\n".join(summary))
-            lines.append(f'  {nid} [label="{_dot_escape(label)}"];')
-            return nid
-        label = _dot_escape(node.criterion.label())
-        lines.append(f'  {nid} [label="{label}"];')
-        left = emit(node.left)
-        right = emit(node.right)
-        lines.append(f'  {nid} -> {left} [label="true"];')
-        lines.append(f'  {nid} -> {right} [label="false"];')
-        return nid
-
-    emit(model.root)
+    for i, (node, entry) in enumerate(_preorder(model.root)):
+        if isinstance(node, DecisionNode):
+            lines.append(f'  n{i} [label="{_dot_escape(node.criterion.label())}"];')
+            lines.append(f'  n{i} -> n{entry["left"]} [label="true"];')
+            lines.append(f'  n{i} -> n{entry["right"]} [label="false"];')
+            continue
+        summary = []
+        for var in model.schema:
+            d = node.distributions[var.name]
+            if var.symbolic:
+                summary.append(f"{var.name}: {var.domain[d.argmax()]}")
+            else:
+                summary.append(f"{var.name}: {d.expectation():.4g}")
+        label = (f"leaf {node.index}\\nprior {node.prior:.4g}"
+                 f"\\nsamples {node.sample_count:g}\\n" + "\\n".join(summary))
+        lines.append(f'  n{i} [label="{_dot_escape(label)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -111,12 +112,18 @@ _IMPROPER = "probabilities must lie in [0, 1] and sum to 1"
 
 def _table(rows, k: int):
     """``rows`` as a float [row, k] array, or None if some row is not k
-    numbers."""
+    numbers (a string or a boolean is not a number)."""
     try:
-        p = np.asarray(rows, dtype=float)
-    except (TypeError, ValueError):
+        p = np.asarray(rows)
+    except ValueError:  # ragged rows
         return None
-    return p if p.shape == (len(rows), k) else None
+    if p.dtype.kind not in "iuf" or p.shape != (len(rows), k):
+        return None
+    # numpy reads a boolean among numbers as 0 or 1: only a scan sees it
+    lists = (row for row in rows if isinstance(row, list))
+    if bool in map(type, chain.from_iterable(lists)):
+        return None
+    return p.astype(float, copy=False)
 
 
 def _improper(p: np.ndarray) -> np.ndarray:

@@ -11,6 +11,8 @@ tolerance.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 
@@ -228,12 +230,15 @@ def Dirac(value: float) -> PiecewiseLinearCDF:
 
 def _hinge_table(hinges):
     """``hinges`` as a float array of (x, F) rows, or None if they are not
-    rows of two numbers."""
+    rows of two numbers (a string or a boolean is not a number)."""
     try:
         arr = np.asarray(hinges)
     except ValueError:  # ragged rows
         return None
-    if arr.dtype.kind not in "biuf" or arr.ndim != 2 or arr.shape[1] != 2:
+    if arr.dtype.kind not in "iuf" or arr.ndim != 2 or arr.shape[1] != 2:
+        return None
+    # numpy reads a boolean among numbers as 0 or 1: only a scan sees it
+    if not isinstance(hinges, np.ndarray) and bool in map(type, chain.from_iterable(hinges)):
         return None
     return arr.astype(float, copy=False)
 
@@ -317,7 +322,7 @@ def cdfs_from_json(objs) -> list[PiecewiseLinearCDF]:
         if "dirac" in obj and "hinges" in obj:
             raise ColumnError(k, "numeric distribution has both 'dirac' and 'hinges'")
         if "dirac" in obj:
-            if not isinstance(obj["dirac"], (int, float)):
+            if isinstance(obj["dirac"], bool) or not isinstance(obj["dirac"], (int, float)):
                 raise ColumnError(k, "'dirac' must be a number")
             rows.append((obj["dirac"], 1.0))
             sizes.append(1)

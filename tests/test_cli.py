@@ -1,11 +1,15 @@
+import csv
+import io
 import json
 import pathlib
 import shutil
+import sys
 
 import numpy as np
 import pytest
 
-from probtree import Dataset, ingest_csv, load, log_likelihood
+from probtree import (DecisionNode, Dataset, LearnerConfig, Variable, ingest_csv, learn, load,
+                      log_likelihood, save)
 from probtree.cli import main
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
@@ -56,6 +60,30 @@ class TestTrain:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "m.json").exists()
+
+    def test_tree_deeper_than_the_recursion_limit(self, tmp_path, capsys):
+        # each split of x = 1.3**i peels a few of the largest values off
+        # the rest, so 1200 one-row leaves hang 244 splits deep
+        data = tmp_path / "powers.csv"
+        data.write_text("x\n" + "".join(f"{1.3 ** i!r}\n" for i in range(1200)))
+        out = tmp_path / "m.json"
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            code = main(["train", "--data", str(data), "--out", str(out),
+                         "--min-samples-leaf", "1"])
+        finally:
+            sys.setrecursionlimit(limit)
+        assert code == 0, capsys.readouterr().err
+        model = load(out)
+        assert len(model.leaves) == 1200
+        depth, stack = 0, [(model.root, 0)]
+        while stack:
+            node, d = stack.pop()
+            if isinstance(node, DecisionNode):
+                stack += (node.left, d + 1), (node.right, d + 1)
+            depth = max(depth, d)
+        assert depth == 244 > 200
 
     def test_overflowing_column_exits_1(self, tmp_path, capsys):
         data = tmp_path / "big.csv"
@@ -207,6 +235,26 @@ class TestSample:
 
     def test_nonpositive_count(self, trained):
         assert main(["sample", "--model", str(trained), "-n", "0"]) == 2
+
+    def test_stdout_quotes_like_the_out_file(self, tmp_path, capsys):
+        # labels holding a comma and a quote need CSV quoting on stdout too
+        s = Variable("s", "symbolic", ("a,b", 'say "hi"'))
+        rng = np.random.default_rng(0)
+        data = Dataset((Variable("x", "numeric"), s),
+                       np.column_stack([rng.normal(size=100), rng.integers(0, 2, 100)]))
+        model = tmp_path / "m.json"
+        save(learn(data, LearnerConfig(min_samples_leaf=0.3)), model)
+        out = tmp_path / "draws.csv"
+        args = ["sample", "--model", str(model), "-n", "50", "--seed", "4"]
+        capsys.readouterr()
+        assert main(args) == 0
+        printed = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert main(args + ["--out", str(out)]) == 0
+        with open(out, newline="", encoding="utf-8") as fh:
+            written = list(csv.reader(fh))
+        assert printed == written
+        assert len(printed) == 51 and {len(row) for row in printed} == {2}
+        assert {row[1] for row in printed[1:]} == {"a,b", 'say "hi"'}
 
 
 class TestExport:

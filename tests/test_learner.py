@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
-from probtree import (DataError, Dataset, Dirac, Interval, Leaf, LearnerConfig,
+from probtree import (DataError, Dataset, DecisionNode, Dirac, Interval, Leaf, LearnerConfig,
                       Multinomial, PiecewiseLinearCDF, SplitCriterion,
-                      TreeModel, Variable, impurity_improvement, learn)
+                      TreeModel, Variable, dumps, impurity_improvement, learn)
 from probtree.learner import (EQUALS, THRESHOLD, _best_numeric_split,
                               _best_symbolic_split, _Scope)
 
@@ -328,6 +330,22 @@ class TestPartition:
 
 
 class TestPaths:
+    def test_nodes_in_preorder_left_first(self, iris):
+        # leaf indices and the model file's node order depend on it
+        model = learn(iris, LearnerConfig(min_samples_leaf=0.05))
+        seen, stack = [], [model.root]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, DecisionNode):
+                stack += node.right, node.left
+            else:
+                seen.append(node.index)
+        assert seen == list(range(len(model.leaves))) and len(seen) > 5
+        nodes = json.loads(dumps(model))["nodes"]
+        splits = [(i, n) for i, n in enumerate(nodes) if n["type"] == "split"]
+        assert splits and all(n["left"] == i + 1 for i, n in splits)
+        assert [n["leaf"] for n in nodes if n["type"] == "leaf"] == seen
+
     def test_numeric_paths_are_half_open(self):
         rng = np.random.default_rng(0)
         schema = (Variable("x", "numeric"),)

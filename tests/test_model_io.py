@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import math
 import os
 import pathlib
 import re
@@ -10,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probtree import (Dirac, LearnerConfig, ModelFormatError, PiecewiseLinearCDF, cli,
-                      dumps, event_probability, export_dot, learn, leaf_posterior, load,
+from probtree import (Dirac, Interval, LearnerConfig, ModelFormatError, PiecewiseLinearCDF,
+                      cli, dumps, event_probability, export_dot, learn, leaf_posterior, load,
                       loads, make_assignment, posterior_distributions, save)
 
 
@@ -179,6 +182,21 @@ def small_model_doc():
     }
 
 
+def deep_chain_doc(depth=1200):
+    """x <= depth ? (x <= depth - 1 ? (...) : leaf) : leaf, ``depth`` splits
+    deep: deeper than the default recursion limit."""
+    doc = small_model_doc()
+    leaf = doc["leaves"][0]
+    doc["leaves"] = [{**leaf, "prior": 1 / (depth + 1)} for _ in range(depth + 1)]
+    doc["nodes"] = []
+    for i in range(depth):
+        doc["nodes"] += [{"type": "split", "var": "x", "op": "le", "value": depth - i,
+                          "left": 2 * i + 2, "right": 2 * i + 1},
+                         {"type": "leaf", "leaf": i}]
+    doc["nodes"].append({"type": "leaf", "leaf": depth})
+    return doc
+
+
 def _nested_threshold(doc):
     # x <= 7 below x <= 5: its right child is (7, 5], an empty region
     doc["nodes"][3] = {"type": "split", "var": "x", "op": "le", "value": 7.0,
@@ -227,6 +245,48 @@ MALFORMED = {
 }
 
 
+def _single_leaf(doc):
+    doc["nodes"] = [{"type": "leaf", "leaf": 0}]
+    doc["leaves"] = doc["leaves"][:1]
+    return doc
+
+
+def _number_labels(doc):
+    # labels are strings; the numbers 0, 1, 2 would be written back as numbers
+    doc["schema"][1]["domain"] = [0, 1, 2]
+    for leaf in doc["leaves"]:
+        leaf["distributions"]["s"]["domain"] = [0, 1, 2]
+    doc["nodes"][0]["value"] = 0
+
+
+# each of these documents holds a non-number where a number belongs, or a
+# non-list or non-string where a list of strings belongs
+MALFORMED.update({
+    "prior-string": lambda d: d["leaves"][0].update(prior="0.5"),
+    "prior-true": lambda d: _single_leaf(d)["leaves"][0].update(prior=True),
+    "prior-huge-int": lambda d: d["leaves"][0].update(prior=10 ** 400),
+    "sample-count-true": lambda d: d["leaves"][0].update(sample_count=True),
+    "sample-count-string": lambda d: d["leaves"][0].update(sample_count="2"),
+    "p-strings": lambda d: d["leaves"][1]["distributions"]["s"].update(p=["0.2", "0.3", "0.5"]),
+    "p-booleans": lambda d: d["leaves"][1]["distributions"]["s"].update(p=[True, False, False]),
+    "dirac-true": lambda d: d["leaves"][0]["distributions"].update(x={"dirac": True}),
+    "hinges-booleans": lambda d: d["leaves"][0]["distributions"].update(
+        x={"hinges": [[True, True]]}),
+    "threshold-string": lambda d: d["nodes"][2].update(value="5"),
+    "threshold-true": lambda d: d["nodes"][2].update(value=True),
+    "threshold-huge-int": lambda d: d["nodes"][2].update(value=10 ** 400),
+    "epsilon-true": lambda d: d["config"].update(epsilon=True),
+    "min-impurity-improvement-true": lambda d: d["config"].update(min_impurity_improvement=True),
+    "max-depth-true": lambda d: d["config"].update(max_depth=True),
+    "max-depth-float": lambda d: d["config"].update(max_depth=1.5),
+    # a string must not be read as its characters
+    "targets-string": lambda d: d["config"].update(targets="xs"),
+    "targets-numbers": lambda d: d["config"].update(targets=[1]),
+    "schema-domain-string": lambda d: d["schema"][1].update(domain="abc"),
+    "domain-numbers": _number_labels,
+})
+
+
 def _locations(node, prefix=()):
     """The path of every value inside a JSON document."""
     items = (node.items() if isinstance(node, dict)
@@ -243,6 +303,9 @@ MUTATIONS = {
     "empty-list": lambda v: [],
     # on a hinge list this repeats the first hinge: a step no leaf may have
     "repeat-first": lambda v: v[:1] + v if isinstance(v, list) else v,
+    "true": lambda v: True,
+    "numeric-string": lambda v: "0.5",
+    "huge-int": lambda v: 10 ** 400,
 }
 
 
@@ -302,7 +365,7 @@ class TestMalformedModels:
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
-    def test_mutated_documents_raise_only_model_format_error(self, data):
+    def test_mutated_documents_raise_only_model_format_error(self, tmp_path_factory, data):
         doc = small_model_doc()
         doc["leaves"][2]["distributions"]["x"] = {"hinges": [[5.5, 0.2], [6, 0.5], [7, 1]]}
         for _ in range(data.draw(st.integers(1, 3))):
@@ -315,25 +378,23 @@ class TestMalformedModels:
                 del parent[path[-1]]
             else:
                 parent[path[-1]] = MUTATIONS[name](parent[path[-1]])
+        text = json.dumps(doc)
         try:
-            loads(json.dumps(doc))
+            loads(text)
+            loaded = True
         except ModelFormatError:
-            pass
-
-    def test_too_deep_tree_rejected(self):
-        # x <= 1200 ? (x <= 1199 ? (...) : leaf) : leaf, 1200 splits deep
-        depth = 1200
-        doc = small_model_doc()
-        leaf = doc["leaves"][0]
-        doc["leaves"] = [{**leaf, "prior": 1 / (depth + 1)} for _ in range(depth + 1)]
-        doc["nodes"] = []
-        for i in range(depth):
-            doc["nodes"] += [{"type": "split", "var": "x", "op": "le", "value": depth - i,
-                              "left": 2 * i + 2, "right": 2 * i + 1},
-                             {"type": "leaf", "leaf": i}]
-        doc["nodes"].append({"type": "leaf", "leaf": depth})
-        with pytest.raises(ModelFormatError, match="too deep"):
-            loads(json.dumps(doc))
+            loaded = False
+        # the same document through the CLI boundary, in process
+        path = tmp_path_factory.mktemp("mutated") / "model.json"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["query", "--model", str(path), "--q", "s = a"])
+        assert code in (0, 1)
+        assert loaded or code == 1
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            assert err.getvalue().startswith("error: ")
 
     def test_cli_exits_1_without_traceback(self, tmp_path):
         doc = small_model_doc()
@@ -349,3 +410,34 @@ class TestMalformedModels:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
+
+
+class TestDeepChain:
+    """A 1200-deep chain: every model path walks it without recursion."""
+
+    def test_round_trips(self):
+        assert sys.getrecursionlimit() < 1200
+        model = loads(json.dumps(deep_chain_doc()))
+        text = dumps(model)
+        again = loads(text)
+        assert dumps(again) == text
+        assert [leaf.path for leaf in again.leaves] == [leaf.path for leaf in model.leaves]
+        # the shallowest leaf is the right child of the root, the deepest two
+        # lie below all 1200 splits
+        assert model.leaves[0].path["x"] == Interval(1200, math.inf, True, True)
+        assert model.leaves[1200].path["x"] == Interval(-math.inf, 1, True, False)
+        lines = export_dot(again).splitlines()
+        assert sum(" -> " in line for line in lines) == 2400
+        assert sum("[label=" in line and " -> " not in line for line in lines) == 2401
+
+    def test_cli_commands(self, tmp_path, capsys):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(deep_chain_doc()))
+        assert cli.main(["query", "--model", str(path), "--q", "s = a",
+                         "--e", "x in [0, 600]"]) == 0
+        assert capsys.readouterr().out.startswith("P(q | e) = 0.2")
+        dot = tmp_path / "chain.dot"
+        assert cli.main(["export", "--model", str(path), "--dot", str(dot)]) == 0
+        assert dot.read_text().count(" -> ") == 2400
+        assert cli.main(["sample", "--model", str(path), "-n", "5"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 6
