@@ -27,17 +27,43 @@ EXIT_USAGE = 2
 EXIT_ZERO_EVIDENCE = 3
 
 
+# the largest count a sample can index
+_MAX_COUNT = int(np.iinfo(np.intp).max)
+
+
 def _parse_min_samples(text: str):
     try:
         if "." in text or "e" in text.lower():
             v = float(text)
         else:
-            return int(text)
+            v = int(text)
+            float(v)
+            return v
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid min-samples-leaf {text!r}") from None
+    except OverflowError:
+        raise argparse.ArgumentTypeError("min-samples-leaf is beyond the float range") from None
     if not 0.0 < v < 1.0:
         raise argparse.ArgumentTypeError("fractional min-samples-leaf must lie in (0, 1)")
     return v
+
+
+def _parse_seed(text: str) -> int:
+    try:
+        v = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid seed {text!r}") from None
+    if v < 0:
+        raise argparse.ArgumentTypeError("seed must be >= 0")
+    return v
+
+
+def _parse_fractions(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(f) for f in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid fractions {text!r}: need "
+                                         "comma-separated numbers") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,8 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                      "(discriminative mode)")
     p.add_argument("--schema", help="sidecar JSON with column kind overrides")
     p.add_argument("--max-depth", type=int)
-    p.add_argument("--seed", type=int, help="accepted for interface symmetry; "
-                                            "training is deterministic")
+    p.add_argument("--seed", type=_parse_seed, help="accepted for interface symmetry; "
+                                                    "training is deterministic")
 
     p = sub.add_parser("query", help="posterior probability, expectation or MPE")
     p.add_argument("--model", required=True)
@@ -77,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--e", help="evidence constraints")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--out", help="output CSV (default: stdout)")
 
     p = sub.add_parser("export", help="export the tree structure")
@@ -87,9 +113,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="run a built-in experiment")
     p.add_argument("--experiment", required=True, choices=["toy", "regression", "uci"])
     p.add_argument("--data", help="CSV dataset (uci experiment)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--fractions", default="0.2,0.1,0.05,0.02,0.01")
+    p.add_argument("--fractions", type=_parse_fractions, default="0.2,0.1,0.05,0.02,0.01")
     p.add_argument("--out", help="report JSON (default: stdout)")
     return parser
 
@@ -170,8 +196,8 @@ def _in_domain(data: Dataset, schema) -> Dataset:
 
 
 def _cmd_sample(args) -> int:
-    if args.n < 1:
-        print("sample count must be >= 1", file=sys.stderr)
+    if not 1 <= args.n <= _MAX_COUNT:
+        print(f"error: sample count must lie in [1, {_MAX_COUNT}]", file=sys.stderr)
         return EXIT_USAGE
     model = load(args.model)
     e = parse_assignment(args.e, model.schema) if args.e else None
@@ -188,7 +214,7 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    fractions = tuple(float(f) for f in args.fractions.split(","))
+    fractions = args.fractions
     if args.experiment == "toy":
         data = experiments.gen_gaussian_toy(args.n, args.seed)
         report = experiments.run_likelihood_sweep(data, fractions, args.seed)

@@ -44,33 +44,6 @@ def _validate(model: TreeModel, a: Assignment | None, what: str) -> Assignment:
     return a
 
 
-def _path_compatible(leaf: Leaf, e: Assignment) -> bool:
-    for name, constraint in e.items():
-        cond = leaf.path.get(name)
-        if cond is None:
-            continue
-        if isinstance(constraint, Interval):
-            if constraint.intersect(cond).empty:
-                return False
-        elif not (constraint & cond):
-            return False
-    return True
-
-
-def _mass(dist, constraint) -> float:
-    """P(constraint | dist): interval mass or value-set mass."""
-    if isinstance(constraint, Interval):
-        return dist.interval_probability(constraint.lower, constraint.upper)
-    return dist.event_probability(constraint)
-
-
-def _evidence_factor(dist, constraint) -> float:
-    """P(e_i | leaf): density for point evidence, otherwise the mass."""
-    if isinstance(constraint, Interval) and constraint.is_point:
-        return dist.density(constraint.lower)
-    return _mass(dist, constraint)
-
-
 def _conditioner(e: Assignment):
     """``condition(dist, name)``: a leaf's distribution of ``name`` conditioned
     on ``e``, where a zero mass raises DistributionError. Every leaf shares
@@ -95,20 +68,18 @@ def leaf_posterior(model: TreeModel, e: Assignment | None = None,
                    prune: bool = True) -> np.ndarray:
     """Distribution P(leaf | e), indexed like ``model.leaves``.
 
-    With ``prune`` enabled, leaves whose path contradicts the evidence are
-    skipped without evaluating their distributions.
+    Every leaf is evaluated at once from the model's leaf table: the prior
+    vector times one evidence factor column per constrained variable, in
+    the order of ``e``. With ``prune`` enabled, leaves whose path region
+    does not overlap the evidence get weight 0 whatever their factors.
     """
     e = _validate(model, e, "evidence")
-    weights = np.zeros(len(model.leaves))
-    for k, leaf in enumerate(model.leaves):
-        if prune and not _path_compatible(leaf, e):
-            continue
-        w = leaf.prior
-        for name, constraint in e.items():
-            w *= _evidence_factor(leaf.distributions[name], constraint)
-            if w == 0.0:
-                break
-        weights[k] = w
+    table = model.table
+    weights = table.prior.copy()
+    for name, constraint in e.items():
+        weights *= table.column(name).factor(table.all_leaves, constraint)
+    if prune:
+        weights[~table.compatible(e)] = 0.0
     total = weights.sum()
     if total <= 0.0:
         raise ZeroEvidenceError(_zero_explanation(model, e))
@@ -144,15 +115,18 @@ def _conditioned(model: TreeModel, e: Assignment | None, names):
 
 def event_probability(model: TreeModel, q: Assignment,
                       e: Assignment | None = None) -> float:
-    """Posterior query mass P(q | e), mixed over the leaf posterior."""
+    """Posterior query mass P(q | e): the leaf posterior times each query
+    constraint's mass column over the leaves it keeps, where a variable
+    with evidence takes its mass from the conditioned leaf distributions,
+    summed in leaf order."""
     q = _validate(model, q, "query")
-    weights, dists = _conditioned(model, e, q)
-    total = 0.0
-    for factor, d in zip(weights, dists):
-        for name, constraint in q.items():
-            factor *= _mass(d[name], constraint)
-        total += factor
-    return min(1.0, max(0.0, total))
+    posterior = leaf_posterior(model, e)
+    e = e or {}
+    keep = np.flatnonzero(posterior)
+    f = posterior[keep]
+    for name, constraint in q.items():
+        f = f * model.table.column(name).mass(keep, constraint, e.get(name))
+    return min(1.0, max(0.0, float(np.cumsum(f)[-1])))
 
 
 def _merge_numeric(components) -> PiecewiseLinearCDF:
@@ -269,35 +243,6 @@ def _route(model: TreeModel, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _densities(dists, leaf: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``dists[leaf[i]].density(v[i])`` for every row, by locating each value
-    among all leaves' hinges in one pass: 0 outside a leaf's support, the
-    right piece's slope at a hinge, the left piece's at the last hinge, and
-    1 at a point mass's value. Leaf CDFs have no steps."""
-    xs = [d.x for d in dists]
-    sizes = np.array([len(x) for x in xs])
-    last = np.cumsum(sizes) - 1  # last hinge of each leaf in the concatenation
-    first = last - sizes + 1
-    x = np.concatenate(xs)
-    F = np.concatenate([d.F for d in dists])
-    # slope of the piece ending at each hinge; the differences across two
-    # leaves are junk and are overwritten with a point mass's unit density
-    ending = np.ones(len(x))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ending[1:] = np.diff(F) / np.diff(x)
-    ending[first] = 1.0
-    # exact integer keys (leaf, rank of value): the hinge keys are sorted,
-    # and a row's key lands after every hinge of its leaf at or below it
-    rank = np.unique(np.concatenate([x, v]), return_inverse=True)[1]
-    width = len(rank)
-    owner = np.repeat(np.arange(len(dists)), sizes)
-    g = np.searchsorted(owner * width + rank[:len(x)],
-                        leaf * width + rank[len(x):], side="right")
-    end = last[leaf]
-    inside = (g > first[leaf]) & (v <= x[end])
-    return np.where(inside, ending[np.minimum(g, end)], 0.0)
-
-
 def log_likelihood(model: TreeModel, data: Dataset):
     """Average per-row log-likelihood and the fraction of zero-likelihood rows.
 
@@ -314,15 +259,15 @@ def log_likelihood(model: TreeModel, data: Dataset):
     if len(data) == 0:
         raise AssignmentError("cannot score a dataset without rows")
     leaf = _route(model, data.values)
-    logp = np.log([lf.prior for lf in model.leaves])[leaf]
+    logp = np.log(model.table.prior)[leaf]
     zero = np.zeros(len(data), dtype=bool)
     for j, var in enumerate(model.schema):
-        dists = [lf.distributions[var.name] for lf in model.leaves]
+        dists = model.table.column(var.name)
         column = data.values[:, j]
         if var.symbolic:
-            f = np.array([d.p for d in dists])[leaf, column.astype(np.intp)]
+            f = dists.p[leaf, column.astype(np.intp)]
         else:
-            f = _densities(dists, leaf, column)
+            f = dists.density(leaf, column)
         positive = f > 0.0
         zero |= ~positive
         logp += np.log(np.where(positive, f, 1.0))

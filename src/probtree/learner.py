@@ -17,6 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Assignment, DataError, Dataset, Interval, Variable, is_number
+from .leaftable import LeafTable
 from .multinomial import Multinomial, entropy_rel
 from .plcdf import build_quantile_dataset, cdf_learn
 
@@ -77,7 +78,8 @@ class Leaf:
 
 @dataclass
 class TreeModel:
-    """Learnt tree with its leaves; immutable after construction."""
+    """Learnt tree with its leaves; immutable after construction. ``table``
+    is the leaf table that queries read, packed from the leaves."""
 
     schema: tuple[Variable, ...]
     root: "DecisionNode | Leaf"
@@ -93,6 +95,7 @@ class TreeModel:
 
     def __post_init__(self):
         self._index = {v.name: j for j, v in enumerate(self.schema)}
+        self.table = LeafTable(self.schema, self.leaves)
 
     def variable(self, name: str) -> Variable:
         for v in self.schema:
@@ -133,6 +136,11 @@ class LearnerConfig:
                 raise DataError("min_samples_leaf must be positive")
         elif m < 1:
             raise DataError("absolute min_samples_leaf must be >= 1")
+        else:
+            try:
+                float(m)
+            except OverflowError:
+                raise DataError("absolute min_samples_leaf is beyond the float range") from None
         if not (is_number(self.min_impurity_improvement) and self.min_impurity_improvement >= 0):
             raise DataError("min_impurity_improvement must be a number >= 0")
         if not (is_number(self.epsilon) and self.epsilon >= 0):

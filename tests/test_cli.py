@@ -284,3 +284,33 @@ class TestEval:
             assert main(["eval", "--experiment", "regression", "--n", "200",
                          "--fractions", "0.2,0.1", "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+# flags whose values argparse's own types accept but the program cannot use;
+# "{data}", "{model}" and "{out}" are filled in per test
+BAD_FLAGS = {
+    "train-min-samples-leaf-huge-int": ["train", "--data", "{data}", "--out", "{out}",
+                                        "--min-samples-leaf", "1" + "0" * 400],
+    "sample-negative-seed": ["sample", "--model", "{model}", "-n", "5", "--seed", "-1"],
+    # rejected before any draw: numpy is never asked for this many values
+    "sample-count-beyond-an-index": ["sample", "--model", "{model}", "-n", str(10 ** 30)],
+    "eval-fractions-not-numbers": ["eval", "--experiment", "toy", "--n", "100",
+                                   "--fractions", "abc"],
+}
+
+
+class TestFlagErrors:
+    @pytest.mark.parametrize("case", sorted(BAD_FLAGS))
+    def test_exit_2_with_an_error_line(self, case, trained, iris_csv, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        argv = [a.format(data=iris_csv, model=trained, out=out) for a in BAD_FLAGS[case]]
+        capsys.readouterr()
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a flag by exiting
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: " in err
+        assert "Traceback" not in err
+        assert not out.exists()

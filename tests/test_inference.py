@@ -8,10 +8,10 @@ from probtree import (AssignmentError, DataError, Dataset, DecisionNode, Dirac,
                       Interval, Leaf, LearnerConfig, Multinomial,
                       PiecewiseLinearCDF, SplitCriterion, TreeModel, Variable,
                       ZeroEvidenceError, event_probability, expectation_query,
-                      leaf_posterior, learn, log_likelihood, make_assignment,
-                      mpe, posterior_distributions, sample)
-from probtree.inference import _merge_numeric
-from probtree.learner import EQUALS, THRESHOLD
+                      ingest_csv, leaf_posterior, learn, log_likelihood,
+                      make_assignment, mpe, posterior_distributions, sample)
+from probtree.inference import _conditioner, _merge_numeric
+from probtree.learner import EQUALS, THRESHOLD, grow
 
 
 def uniform_mixture_model():
@@ -139,7 +139,7 @@ class TestDiracLeaves:
                 query()
 
 
-from conftest import random_discrete_dataset, random_plf
+from conftest import DATA_DIR, random_discrete_dataset, random_plf
 
 
 def brute_force_event(model, q, e):
@@ -664,3 +664,226 @@ class TestSample:
         out = sample(iris_model, 30_000, rng)
         freq = np.bincount(out.column("species").astype(int), minlength=3) / 30_000
         assert np.allclose(freq, [1 / 3, 1 / 3, 1 / 3], atol=0.02)
+
+
+# -- the per-leaf loop that the leaf table replaced, kept as the reference -----
+
+
+def _reference_path_compatible(leaf, e):
+    for name, constraint in e.items():
+        cond = leaf.path.get(name)
+        if cond is None:
+            continue
+        if isinstance(constraint, Interval):
+            if constraint.intersect(cond).empty:
+                return False
+        elif not (constraint & cond):
+            return False
+    return True
+
+
+def _reference_mass(dist, constraint):
+    if isinstance(constraint, Interval):
+        return dist.interval_probability(constraint.lower, constraint.upper)
+    return dist.event_probability(constraint)
+
+
+def reference_leaf_posterior(model, e, prune=True):
+    """One leaf at a time: skip a leaf whose path contradicts ``e``, else
+    multiply its prior by the density at a point or the mass of each
+    constraint, with the scalar distribution methods."""
+    weights = np.zeros(len(model.leaves))
+    for k, leaf in enumerate(model.leaves):
+        if prune and not _reference_path_compatible(leaf, e):
+            continue
+        w = leaf.prior
+        for name, constraint in e.items():
+            dist = leaf.distributions[name]
+            if isinstance(constraint, Interval) and constraint.is_point:
+                w *= dist.density(constraint.lower)
+            else:
+                w *= _reference_mass(dist, constraint)
+            if w == 0.0:
+                break
+        weights[k] = w
+    total = weights.sum()
+    if total <= 0.0:
+        raise ZeroEvidenceError("evidence has zero probability")
+    return weights / total
+
+
+def reference_event_probability(model, q, e):
+    """Each surviving leaf's posterior times the query masses of its
+    distributions conditioned on ``e``, added one leaf at a time."""
+    posterior = reference_leaf_posterior(model, e)
+    condition = _conditioner(e)
+    total = 0.0
+    for k in np.flatnonzero(posterior):
+        factor = float(posterior[k])
+        for name, constraint in q.items():
+            factor *= _reference_mass(
+                condition(model.leaves[k].distributions[name], name), constraint)
+        total += factor
+    return min(1.0, max(0.0, total))
+
+
+def threshold_model():
+    """x <= 2 ? (c = a ? leaf 0 : leaf 1) : (y <= 0 ? leaf 2 : leaf 3), with
+    paths from the tree builder. Leaf 0's x has an atom at its first hinge
+    and its last hinge on the threshold 2; leaf 1's x is the point mass at 2;
+    leaf 2's y ends on the threshold 0, where leaf 3's open region starts;
+    leaf 3's y is a point mass."""
+    x, y = Variable("x", "numeric"), Variable("y", "numeric")
+    c = Variable("c", "symbolic", ("a", "b", "c"))
+
+    def leaf(k, prior, xd, yd, p):
+        return Leaf(k, prior, {"x": xd, "y": yd, "c": Multinomial(c, p)}, {}, 1)
+
+    leaves = [
+        leaf(0, 0.3, PiecewiseLinearCDF([[0, 0.25], [1, 0.5], [2, 1]]),
+             PiecewiseLinearCDF([[-1, 0], [1, 1]]), [1.0, 0.0, 0.0]),
+        leaf(1, 0.2, Dirac(2.0), PiecewiseLinearCDF([[-2, 0.5], [0, 0.75], [3, 1]]),
+             [0.0, 0.4, 0.6]),
+        leaf(2, 0.25, PiecewiseLinearCDF([[2.5, 0.1], [4, 1]]),
+             PiecewiseLinearCDF([[-3, 0], [-1, 0], [0, 1]]), [0.2, 0.3, 0.5]),
+        leaf(3, 0.25, PiecewiseLinearCDF([[3, 0], [3.5, 0.5], [6, 1]]), Dirac(0.5),
+             [0.5, 0.5, 0.0]),
+    ]
+    spec = (SplitCriterion(x, THRESHOLD, threshold=2.0),
+            (SplitCriterion(c, EQUALS, value_index=0), leaves[0], leaves[1]),
+            (SplitCriterion(y, THRESHOLD, threshold=0.0), leaves[2], leaves[3]))
+    root = grow(spec, lambda item, path: item)
+    return TreeModel((x, y, c), root, leaves, LearnerConfig())
+
+
+def _points(model, name):
+    """Every hinge and finite path bound of ``name``, the midpoints between
+    them, a point beyond each end, and both infinities."""
+    xs = set()
+    for leaf in model.leaves:
+        xs.update(leaf.distributions[name].x.tolist())
+        cond = leaf.path.get(name)
+        if cond is not None:
+            xs.update(b for b in (cond.lower, cond.upper) if math.isfinite(b))
+    xs = sorted(xs)
+    return (xs + [(a + b) / 2 for a, b in zip(xs, xs[1:])]
+            + [xs[0] - 1, xs[-1] + 1, -math.inf, math.inf])
+
+
+def _constraint(rng, model, var):
+    if var.symbolic:
+        k = len(var.domain)
+        size = int(rng.integers(1, k + 1))
+        return frozenset(rng.choice(k, size=size, replace=False).tolist())
+    pts = _points(model, var.name)
+    a, b = sorted(float(v) for v in rng.choice(pts, 2))
+    return Interval(a, a) if rng.random() < 0.3 else Interval(a, b)
+
+
+def _assignment(rng, model, names):
+    return {name: _constraint(rng, model, model.variable(name)) for name in names}
+
+
+REFERENCE_MODELS = {
+    "hinges": hinge_model,
+    "diracs": dirac_model,
+    "thresholds": threshold_model,
+    "chain": lambda: random_chain_model(np.random.default_rng(5), 12),
+    "iris": lambda: learn(ingest_csv(DATA_DIR / "iris.csv"),
+                          LearnerConfig(min_samples_leaf=0.05)),
+}
+
+
+class TestMatchesThePerLeafLoop:
+    """``leaf_posterior`` and ``event_probability`` give the reference loop's
+    answers bit for bit, on hinges, point masses and path thresholds."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
+    def test_bitwise(self, name):
+        model = REFERENCE_MODELS[name]()
+        names = [v.name for v in model.schema]
+        rng = np.random.default_rng(len(name))
+        answered = 0
+        for _ in range(400):
+            e_names = rng.choice(names, size=int(rng.integers(1, len(names) + 1)), replace=False)
+            e = _assignment(rng, model, e_names)
+            # half of the queries constrain an evidence variable again
+            q_names = (e_names[:int(rng.integers(1, len(e_names) + 1))] if rng.random() < 0.5
+                       else rng.choice(names, size=int(rng.integers(1, 3)), replace=False))
+            q = _assignment(rng, model, q_names)
+            try:
+                want = reference_leaf_posterior(model, e)
+            except ZeroEvidenceError:
+                with pytest.raises(ZeroEvidenceError):
+                    leaf_posterior(model, e)
+                continue
+            kept = [_reference_path_compatible(leaf, e) for leaf in model.leaves]
+            assert model.table.compatible(e).tolist() == kept, e
+            answered += 1
+            got = leaf_posterior(model, e)
+            assert got.tobytes() == want.tobytes(), e
+            unpruned = leaf_posterior(model, e, prune=False)
+            assert unpruned.tobytes() == reference_leaf_posterior(model, e, False).tobytes()
+            assert unpruned.tobytes() == got.tobytes(), e
+            assert (event_probability(model, q, e).hex()
+                    == reference_event_probability(model, q, e).hex()), (q, e)
+        assert answered >= 100
+
+    def test_query_on_evidence_variables(self):
+        model = threshold_model()
+        schema = model.schema
+        cases = [({"x": 1.0}, {"x": (0.5, 2.0)}),            # point evidence
+                 ({"x": (0.0, 2.0)}, {"x": (0.0, 1.0)}),      # bounds on hinges
+                 ({"x": (0.5, 3.0)}, {"x": (1.0, 2.5)}),
+                 ({"y": (-2.0, 0.0)}, {"y": (-1.0, 0.0)}),    # the open threshold 0
+                 ({"c": ["b", "c"]}, {"c": ["c"]}),           # value sets
+                 ({"c": ["a", "b"], "x": (1.0, 2.0)}, {"c": ["b"], "x": (2.0, 2.0)})]
+        for e, q in cases:
+            e, q = make_assignment(schema, e), make_assignment(schema, q)
+            assert (event_probability(model, q, e).hex()
+                    == reference_event_probability(model, q, e).hex()), (q, e)
+
+    def test_point_on_an_open_threshold(self):
+        # y = 0 is the last hinge of leaf 2 and outside leaf 3's region (0, inf)
+        model = threshold_model()
+        e = make_assignment(model.schema, {"y": 0.0})
+        got = leaf_posterior(model, e)
+        assert got.tobytes() == reference_leaf_posterior(model, e).tobytes()
+        assert got[3] == 0.0 and got[2] > 0.0
+
+    def test_pruning_zeroes_a_contradicting_leaf_whatever_its_factors(self):
+        # leaf 1's histogram gives mass to a, which its path c != a excludes;
+        # no learnt tree has such a leaf, so only here do the two settings differ
+        c = Variable("c", "symbolic", ("a", "b"))
+        schema = (Variable("x", "numeric"), c)
+        leaves = [Leaf(0, 0.5, {"x": Dirac(0.0), "c": Multinomial(c, [1.0, 0.0])},
+                       {"c": frozenset({0})}, 1),
+                  Leaf(1, 0.5, {"x": Dirac(1.0), "c": Multinomial(c, [0.5, 0.5])},
+                       {"c": frozenset({1})}, 1)]
+        root = DecisionNode(SplitCriterion(c, EQUALS, value_index=0), *leaves)
+        model = TreeModel(schema, root, leaves, LearnerConfig())
+        e = {"c": frozenset({0})}
+        assert leaf_posterior(model, e).tolist() == [1.0, 0.0]
+        assert leaf_posterior(model, e, prune=False) == pytest.approx([2 / 3, 1 / 3])
+        for prune in (True, False):
+            assert (leaf_posterior(model, e, prune).tobytes()
+                    == reference_leaf_posterior(model, e, prune).tobytes())
+
+
+class TestLeafTable:
+    def test_a_stepped_leaf_cdf_is_rejected_when_read(self):
+        # a repeated hinge x is a step, which only merged marginals may have
+        model = hinge_model()
+        stepped = PiecewiseLinearCDF([[0, 0.2], [1, 0.4], [1, 0.6], [2, 1]])
+        model.leaves[0].distributions["x"] = stepped
+        model = TreeModel(model.schema, model.root, model.leaves, LearnerConfig())
+        assert leaf_posterior(model, {"d": frozenset({0})}).sum() == pytest.approx(1.0)
+        with pytest.raises(DataError, match="strictly increasing"):
+            leaf_posterior(model, {"x": Interval(0.5, 1.5)})
+
+    def test_arrays_are_read_only(self, toy_hybrid_model):
+        table = toy_hybrid_model.table
+        x, color = table.column("x"), table.column("color")
+        for a in (table.prior, x.x, x.F, x.region[0], color.p, color.admissible):
+            with pytest.raises(ValueError):
+                a[0] = 0

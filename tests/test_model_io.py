@@ -279,6 +279,7 @@ MALFORMED.update({
     "min-impurity-improvement-true": lambda d: d["config"].update(min_impurity_improvement=True),
     "max-depth-true": lambda d: d["config"].update(max_depth=True),
     "max-depth-float": lambda d: d["config"].update(max_depth=1.5),
+    "min-samples-leaf-huge-int": lambda d: d["config"].update(min_samples_leaf=10 ** 400),
     # a string must not be read as its characters
     "targets-string": lambda d: d["config"].update(targets="xs"),
     "targets-numbers": lambda d: d["config"].update(targets=[1]),
