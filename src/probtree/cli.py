@@ -48,13 +48,29 @@ def _parse_min_samples(text: str):
     return v
 
 
-def _parse_seed(text: str) -> int:
+def _int_at_least(low: int, what: str):
+    """An argparse type: an integer of at least ``low``."""
+    def parse(text: str) -> int:
+        try:
+            v = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {what} {text!r}") from None
+        if v < low:
+            raise argparse.ArgumentTypeError(f"{what} must be >= {low}")
+        return v
+    return parse
+
+
+_parse_seed = _int_at_least(0, "seed")
+
+
+def _parse_confidence(text: str) -> float:
     try:
-        v = int(text)
+        v = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid seed {text!r}") from None
-    if v < 0:
-        raise argparse.ArgumentTypeError("seed must be >= 0")
+        raise argparse.ArgumentTypeError(f"invalid confidence {text!r}") from None
+    if not 0.0 <= v <= 1.0:  # NaN included
+        raise argparse.ArgumentTypeError("confidence must lie in [0, 1]")
     return v
 
 
@@ -90,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", help="query constraints")
     p.add_argument("--e", help="evidence constraints")
     p.add_argument("--expect", help="numeric variable to report E(var | e)")
-    p.add_argument("--confidence", type=float, default=0.95)
+    p.add_argument("--confidence", type=_parse_confidence, default=0.95)
     p.add_argument("--mpe", action="store_true")
     p.add_argument("--json", action="store_true")
 
@@ -114,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--experiment", required=True, choices=["toy", "regression", "uci"])
     p.add_argument("--data", help="CSV dataset (uci experiment)")
     p.add_argument("--seed", type=_parse_seed, default=0)
-    p.add_argument("--n", type=int, default=1000)
+    p.add_argument("--n", type=_int_at_least(2, "sample size"), default=1000)
     p.add_argument("--fractions", type=_parse_fractions, default="0.2,0.1,0.05,0.02,0.01")
     p.add_argument("--out", help="report JSON (default: stdout)")
     return parser
@@ -160,8 +176,8 @@ def _cmd_query(args) -> int:
             print(f"score (mixed mass/density, comparable only under the same "
                   f"evidence): {score:.6g}")
         return EXIT_OK
-    if not args.q:
-        print("query needs one of --q, --expect or --mpe", file=sys.stderr)
+    if args.q is None:
+        print("error: query needs one of --q, --expect or --mpe", file=sys.stderr)
         return EXIT_USAGE
     q = parse_assignment(args.q, model.schema)
     p = event_probability(model, q, e)
@@ -225,7 +241,7 @@ def _cmd_eval(args) -> int:
         report["experiment"] = "regression"
     else:
         if not args.data:
-            print("--data is required for the uci experiment", file=sys.stderr)
+            print("error: --data is required for the uci experiment", file=sys.stderr)
             return EXIT_USAGE
         data = ingest_csv(args.data)
         report = experiments.run_likelihood_sweep(data, fractions, args.seed)

@@ -1,9 +1,9 @@
 """Exact posterior reasoning over a learnt tree mixture.
 
-All operations evaluate per-leaf factors under the leaf-wise independence
-assumption and mix them with the normalized leaf posterior. Leaves whose
-path conditions contradict the evidence are skipped; this is exact, since
-such leaves would receive weight 0 anyway.
+Every query evaluates all leaves at once on the model's leaf table under the
+leaf-wise independence assumption. ``leaf_posterior`` gives a leaf whose path
+contradicts the evidence weight 0, which is exact; every other query calls it
+once and reads the leaves it keeps, conditioned on the evidence, as arrays.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 from .data import Assignment, AssignmentError, Dataset, Interval
 from .learner import Leaf, TreeModel
 from .multinomial import Multinomial
-from .plcdf import Dirac, PiecewiseLinearCDF
+from .plcdf import PiecewiseLinearCDF
 
 
 class ZeroEvidenceError(ValueError):
@@ -42,26 +42,6 @@ def _validate(model: TreeModel, a: Assignment | None, what: str) -> Assignment:
             if any(not 0 <= i < len(var.domain) for i in constraint):
                 raise AssignmentError(f"{what} for {name!r} references out-of-domain values")
     return a
-
-
-def _conditioner(e: Assignment):
-    """``condition(dist, name)``: a leaf's distribution of ``name`` conditioned
-    on ``e``, where a zero mass raises DistributionError. Every leaf shares
-    the one point mass of a point constraint."""
-    points = {name: Dirac(c.lower) for name, c in e.items()
-              if isinstance(c, Interval) and c.is_point}
-
-    def condition(dist, name):
-        constraint = e.get(name)
-        if constraint is None:
-            return dist
-        if name in points:
-            return points[name]
-        if isinstance(constraint, Interval):
-            return dist.crop(constraint.lower, constraint.upper)
-        return dist.condition(constraint)
-
-    return condition
 
 
 def leaf_posterior(model: TreeModel, e: Assignment | None = None,
@@ -100,17 +80,12 @@ def _zero_explanation(model: TreeModel, e: Assignment) -> str:
 
 
 def _conditioned(model: TreeModel, e: Assignment | None, names):
-    """The leaves with positive posterior P(leaf | e): their posteriors as
-    floats, and for each such leaf its distributions of ``names``
-    conditioned on ``e``."""
+    """The positive posteriors P(leaf | e), and for each of ``names`` those
+    leaves' column conditioned on ``e``: packed hinges or histogram rows."""
     posterior = leaf_posterior(model, e)
-    condition = _conditioner(e or {})
-    weights, dists = [], []
-    for k in np.flatnonzero(posterior):
-        leaf = model.leaves[k]
-        weights.append(float(posterior[k]))
-        dists.append({name: condition(leaf.distributions[name], name) for name in names})
-    return weights, dists
+    keep = np.flatnonzero(posterior)
+    e = e or {}
+    return posterior[keep], [model.table.column(n).conditioned(keep, e.get(n)) for n in names]
 
 
 def event_probability(model: TreeModel, q: Assignment,
@@ -121,81 +96,90 @@ def event_probability(model: TreeModel, q: Assignment,
     summed in leaf order."""
     q = _validate(model, q, "query")
     posterior = leaf_posterior(model, e)
-    e = e or {}
     keep = np.flatnonzero(posterior)
-    f = posterior[keep]
+    f, e = posterior[keep], e or {}
     for name, constraint in q.items():
         f = f * model.table.column(name).mass(keep, constraint, e.get(name))
     return min(1.0, max(0.0, float(np.cumsum(f)[-1])))
 
 
-def _merge_numeric(components) -> PiecewiseLinearCDF:
-    """Positively weighted step-free components (conditioned leaf CDFs) as
-    their exact mixture CDF ``sum_k w_k F_k`` on the union of their hinges.
-    A grid point above the first where some components have their
-    first-hinge atom becomes a step: the mixture's left limit, which leaves
-    those atoms out, then its value."""
-    xs = np.unique(np.concatenate([d.x for _, d in components]))
-    F = np.zeros_like(xs)
-    for w, d in components:
-        F += w * d.cdf_vec(xs)
-    first = xs.searchsorted([d.x[0] for _, d in components])
-    atoms = np.bincount(first, weights=[w * d.F[0] for w, d in components],
-                        minlength=len(xs))
+def _running_sum(v) -> np.ndarray:
+    """The sums of the first 0, 1, ..., len(v) entries of ``v``, compensated
+    as in Sum2 of Ogita, Rump and Oishi: TwoSum gives the exact rounding
+    error of each addition in ``np.cumsum``, and the errors' sum is added."""
+    s = np.cumsum(np.concatenate(([0.0], v)))
+    t = s[1:] - s[:-1]
+    return np.concatenate(([0.0], s[1:] + np.cumsum((s[:-1] - (s[1:] - t)) + (v - t))))
+
+
+def _merge_numeric(w, owner, x, F) -> PiecewiseLinearCDF:
+    """The mixture CDF ``sum_k w_k F_k`` of step-free CDFs, packed as
+    ``NumericColumn.conditioned`` returns them, on the union of their hinges.
+    Between grid points it rises at the sum of the weighted slopes that enter
+    and leave at the pieces' ends, summed in order of position with
+    compensation: a steep piece between nearly coinciding hinges leaves no
+    rounding error in later slopes. A grid point above the first with some
+    first-hinge atoms becomes a step: the left limit, then the value."""
+    xs, at = np.unique(x, return_inverse=True)
+    piece = np.flatnonzero(owner[1:] == owner[:-1])  # from hinge j to hinge j + 1
+    slope = w[owner[piece]] * (F[piece + 1] - F[piece]) / (x[piece + 1] - x[piece])
+    events = np.concatenate([at[piece], at[piece + 1]])
+    order = np.argsort(events, kind="stable")
+    # the slope right of each grid point: the sum of the events up to it
+    rate = _running_sum(np.concatenate([slope, -slope])[order])[
+        events[order].searchsorted(np.arange(len(xs)), side="right")]
+    first = np.flatnonzero(np.diff(owner, prepend=-1))
+    atoms = np.bincount(at[first], weights=w * F[first], minlength=len(xs))
+    F = _running_sum(atoms + np.concatenate(([0.0], rate[:-1] * (xs[1:] - xs[:-1]))))[1:]
     step = np.flatnonzero(atoms[1:] > 0.0) + 1  # F[0] itself is the atom at xs[0]
     xs = np.insert(xs, step, xs[step])
-    F = np.insert(F, step, (F - atoms)[step])
-    F = F / F[-1]  # guard fp drift; mixture weights sum to 1
-    F = np.maximum.accumulate(F)
-    F[-1] = 1.0
-    return PiecewiseLinearCDF(np.column_stack([xs, F]))
+    F = np.insert(F, step, (F - atoms)[step]) / F[-1]  # the weights sum to 1 up to rounding
+    return PiecewiseLinearCDF(np.column_stack([xs, np.minimum(np.maximum.accumulate(F), 1.0)]))
 
 
 def posterior_distributions(model: TreeModel, e: Assignment | None = None) -> dict:
     """Per-variable posterior marginals given evidence, as superimposed
     leaf distributions (the exact mixture CDF for numeric, histogram mixture
     for symbolic)."""
-    weights, dists = _conditioned(model, e, [var.name for var in model.schema])
+    w, columns = _conditioned(model, e, [var.name for var in model.schema])
     out = {}
-    for var in model.schema:
-        comps = [(w, d[var.name]) for w, d in zip(weights, dists)]
+    for var, leaves in zip(model.schema, columns):
         if var.numeric:
-            out[var.name] = _merge_numeric(comps)
+            out[var.name] = _merge_numeric(w, *leaves)
         else:
-            p = np.zeros(len(var.domain))
-            for w, d in comps:
-                p += w * d.p
+            p = np.cumsum(w[:, None] * leaves, axis=0)[-1]  # added in leaf order
             out[var.name] = Multinomial(var, p / p.sum())
     return out
 
 
 def expectation_query(model: TreeModel, target: str,
                       e: Assignment | None = None, theta: float = 0.95):
-    """Expectation of a numeric variable with a confidence interval.
-
-    Returns ``(mean, lower, upper)``. The mean is the exact mixture mean
-    ``sum_k P(leaf k | e) * E[target | leaf k, e]``; the interval comes from
-    the merged posterior CDF of the target, widened to contain the mean.
-    """
+    """``(mean, lower, upper)`` of a numeric variable's merged posterior CDF:
+    its mean, the mixture mean ``sum_k P(leaf k | e) * E[target | leaf k, e]``,
+    and its confidence interval, widened to contain the mean."""
     var = model.variable(target)
     if not var.numeric:
         raise AssignmentError(
             f"{target!r} is symbolic; use posterior_distributions instead")
-    comps = [(w, d[target]) for w, d in zip(*_conditioned(model, e, [target]))]
-    mean = sum(w * d.expectation() for w, d in comps)
-    l, u = _merge_numeric(comps).confidence_interval(theta)
-    return mean, min(l, mean), max(u, mean)
+    w, (leaves,) = _conditioned(model, e, [target])
+    merged = _merge_numeric(w, *leaves)
+    return (merged.expectation(), *merged.confidence_interval(theta))
 
 
-def _max_density_point(dist):
-    """Argmax of the density and its value: the midpoint of the steepest
-    piece (leftmost on ties), or a point mass's value with unit density."""
-    if len(dist.x) == 1:
-        return float(dist.x[0]), 1.0
-    x, F = dist.x, dist.F
-    slopes = (F[1:] - F[:-1]) / (x[1:] - x[:-1])
-    k = int(slopes.argmax())
-    return float((x[k] + x[k + 1]) / 2.0), float(slopes[k])
+def _steepest(owner, x, F):
+    """Each leaf's argmax of the density and its value: the midpoint of its
+    steepest piece (leftmost on ties), or a point mass's value with unit
+    density."""
+    first = np.flatnonzero(np.diff(owner, prepend=-1))
+    point, density = x[first], np.ones(len(first))
+    piece = np.flatnonzero(owner[1:] == owner[:-1])
+    slope = (F[piece + 1] - F[piece]) / (x[piece + 1] - x[piece])
+    # by leaf, steepest first; the sort is stable, so the leftmost leads a tie
+    order = np.lexsort((-slope, owner[piece]))
+    leaf, lead = np.unique(owner[piece][order], return_index=True)
+    k = piece[order[lead]]
+    point[leaf], density[leaf] = (x[k] + x[k + 1]) / 2.0, slope[order[lead]]
+    return point, density
 
 
 def mpe(model: TreeModel, e: Assignment | None = None):
@@ -205,25 +189,19 @@ def mpe(model: TreeModel, e: Assignment | None = None):
     (continuous); it is only comparable between candidates under the same
     evidence. Ties break to the lowest leaf index.
     """
-    weights, dists = _conditioned(model, e, [var.name for var in model.schema])
-    best = None
-    for score, d in zip(weights, dists):
-        world = {}
-        for var in model.schema:
-            dist = d[var.name]
-            if var.symbolic:
-                idx = dist.argmax()
-                world[var.name] = var.domain[idx]
-                score *= float(dist.p[idx])
-            else:
-                point, f = _max_density_point(dist)
-                world[var.name] = point
-                score *= f
-        if score > 0.0 and (best is None or score > best[1]):
-            best = (world, score)
-    if best is None:
+    score, columns = _conditioned(model, e, [var.name for var in model.schema])
+    values = {}
+    for var, leaves in zip(model.schema, columns):
+        if var.symbolic:
+            values[var.name], f = leaves.argmax(axis=1), leaves.max(axis=1)
+        else:
+            values[var.name], f = _steepest(*leaves)
+        score = score * f
+    k = int(score.argmax())
+    if not score[k] > 0.0:
         raise ZeroEvidenceError(_zero_explanation(model, e or {}))
-    return best
+    return ({var.name: var.domain[values[var.name][k]] if var.symbolic
+             else float(values[var.name][k]) for var in model.schema}, float(score[k]))
 
 
 def _route(model: TreeModel, values: np.ndarray) -> np.ndarray:
@@ -276,19 +254,49 @@ def log_likelihood(model: TreeModel, data: Dataset):
     return average, float(zero.sum() / len(data))
 
 
+def _first_at_least(F, first, last, v) -> np.ndarray:
+    """Each query's first row in ``first..last`` with F >= v, by binary
+    lifting over all queries at once: F rises within a range and its last
+    row qualifies."""
+    g = first.copy()
+    for step in 1 << np.arange(int((last - first).max()).bit_length())[::-1]:
+        g += step * (F[np.minimum(g + (step - 1), last)] < v)
+    return g
+
+
+def _quantile(owner, x, F, leaf, u) -> np.ndarray:
+    """Quantile u < 1 of each given leaf's packed CDF, as ``ppf`` gives it:
+    a plateau maps to its left end and u <= F[0] to x[0]. No rounding takes
+    a quantile past the end of its piece."""
+    first = np.flatnonzero(np.diff(owner, prepend=-1))[leaf]
+    g = _first_at_least(F, first, np.flatnonzero(np.diff(owner, append=len(owner)))[leaf], u)
+    i = np.flatnonzero((g > first) & (F[g] > u))
+    out, a, b = x[g], g[i] - 1, g[i]
+    out[i] = np.minimum(x[a] + (u[i] - F[a]) / (F[b] - F[a]) * (x[b] - x[a]), x[b])
+    return out
+
+
 def sample(model: TreeModel, n: int, rng, e: Assignment | None = None) -> Dataset:
     """Draw ``n`` complete worlds: leaf from the posterior, then each
-    variable independently from its (conditioned) leaf distribution."""
+    variable independently from its (conditioned) leaf distribution. The
+    leaves take the first draws of ``rng``, then each variable in schema
+    order the next ``n`` uniforms, inverted against its row's leaf."""
     if n < 1:
         raise AssignmentError("sample count must be >= 1")
-    posterior = leaf_posterior(model, e)
-    condition = _conditioner(e or {})
-    leaf_idx = rng.choice(len(model.leaves), size=n, p=posterior)
+    w, columns = _conditioned(model, e, [var.name for var in model.schema])
+    leaf = rng.choice(len(w), size=n, p=w)
     values = np.empty((n, len(model.schema)))
-    for k in np.unique(leaf_idx):
-        leaf = model.leaves[k]
-        rows = np.nonzero(leaf_idx == k)[0]
-        for j, var in enumerate(model.schema):
-            dist = condition(leaf.distributions[var.name], var.name)
-            values[rows, j] = dist.sample(rng, len(rows))
+    block = 1 << 13  # rows drawn at once, which bounds the temporaries
+    for j, (var, leaves) in enumerate(zip(model.schema, columns)):
+        if var.symbolic:
+            cum, k = np.cumsum(leaves, axis=1).ravel(), leaves.shape[1]
+        for a in range(0, n, block):
+            rows = slice(a, min(a + block, n))
+            u = rng.random(rows.stop - a)
+            if var.numeric:
+                values[rows, j] = _quantile(*leaves, leaf[rows], u)
+            else:  # the first label whose cumulative mass is above u times the total
+                first = leaf[rows] * k
+                values[rows, j] = _first_at_least(
+                    cum, first, first + k - 1, np.nextafter(u * cum[first + k - 1], np.inf)) - first
     return Dataset(model.schema, values)

@@ -6,7 +6,8 @@ Per numeric variable it holds all leaves' hinges packed together; per
 symbolic variable the ``[leaf, k]`` histogram table; per variable each
 leaf's path region: the bounds ``lo``/``hi`` with their open flags, or the
 admissible values. Every method takes ``leaf``, an index array of the leaves
-to evaluate, and returns one value per entry of it.
+to evaluate, and returns one value per entry of it, or with ``conditioned``
+those leaves' distributions conditioned on the evidence, packed as arrays.
 
 A model builds its table once, and the table packs each variable's column
 the first time a query reads it, and the column its path regions the first
@@ -106,23 +107,37 @@ class NumericColumn:
         inside = (g > self.first[leaf]) & (v <= self.x[end])
         return np.where(inside, self.ending[np.minimum(g, end)], 0.0)
 
-    def full(self, leaf):
-        """Each leaf's CDF as a crop ``(lo, hi, F(lo), base, scale)`` (see
-        ``cdf``) that cuts nothing away."""
+    def crop(self, leaf, given: Interval | None = None):
+        """Each leaf's CDF conditioned on the closed ``given`` (if any) as
+        ``PiecewiseLinearCDF.crop`` builds it, as a crop ``(lo, hi, F(lo),
+        base, scale)``: the support [lo, hi] and the leaf's F renormalized to
+        ``(F - base) / scale``. A point gives every leaf the point mass at it."""
         first = self.first[leaf]
-        return self.x[first], self.x[self.last[leaf]], self.F[first], 0.0, 1.0
-
-    def crop(self, leaf, l: float, u: float):
-        """Each leaf's CDF conditioned on [l, u], as ``PiecewiseLinearCDF.crop``
-        builds it, as a crop ``(lo, hi, F(lo), base, scale)``: the support
-        [lo, hi] and the leaf's F renormalized to ``(F - base) / scale``. A
-        point l = u gives every leaf the point mass at l."""
+        full = self.x[first], self.x[self.last[leaf]], self.F[first], 0.0, 1.0
+        if given is None:
+            return full
+        l, u = given.lower, given.upper
         if l == u:
             return l, l, 0.0, 0.0, 1.0
-        full = self.full(leaf)
         fl, fu = self.cdf_left(leaf, l, full), self.cdf(leaf, u, full)
         lo, hi = np.maximum(l, full[0]), np.minimum(u, full[1])
         return lo, hi, self.cdf(leaf, lo, full), fl, fu - fl
+
+    def conditioned(self, leaf, given: Interval | None = None):
+        """Each leaf's CDF conditioned on ``given`` as packed hinges ``(owner,
+        x, F)``, as ``PiecewiseLinearCDF.crop`` builds them: (lo, F(lo)), the
+        hinges inside (lo, hi) and (hi, 1), or a point mass's one hinge (lo,
+        1). ``owner`` is the position in ``leaf`` of each hinge's leaf."""
+        crop = [np.broadcast_to(c, len(leaf)) for c in self.crop(leaf, given)]
+        lo, hi = crop[0], crop[1]
+        start = self.locate(leaf, lo)  # the row after the last hinge at or below lo
+        sizes = np.where(lo < hi, self.keys.searchsorted(_keys(leaf, hi)) - start + 2, 1)
+        owner = np.repeat(np.arange(len(leaf)), sizes)
+        place = np.arange(len(owner)) - (np.cumsum(sizes) - sizes)[owner]
+        x = np.where(place == 0, lo[owner],
+                     np.where(place == sizes[owner] - 1, hi[owner],
+                              self.x[start[owner] + place - 1]))
+        return owner, x, self.cdf(leaf[owner], x, [c[owner] for c in crop])
 
     def cdf(self, leaf, v, crop):
         """Each leaf's cropped CDF at v (a scalar or one value per leaf), bit
@@ -153,7 +168,7 @@ class NumericColumn:
     def mass(self, leaf, iv: Interval, given: Interval | None = None):
         """Each leaf's ``interval_probability`` of the closed ``iv``, after
         conditioning on the closed ``given`` if there is one."""
-        crop = self.full(leaf) if given is None else self.crop(leaf, given.lower, given.upper)
+        crop = self.crop(leaf, given)
         d = self.cdf(leaf, iv.upper, crop) - self.cdf_left(leaf, iv.lower, crop)
         return np.where(d > 0.0, np.minimum(d, 1.0), 0.0)
 
@@ -197,20 +212,23 @@ class SymbolicColumn:
         _read_only(mask)
         return mask
 
-    def mass(self, leaf, values, given=None):
-        """Each leaf's ``event_probability`` of the value set ``values``,
-        after conditioning on the value set ``given`` if there is one; the
-        probabilities are added in the order of ``set(values)``."""
+    def conditioned(self, leaf, given=None):
+        """Each leaf's histogram conditioned on the value set ``given``, as
+        ``Multinomial.condition`` builds it, as a ``[leaf, k]`` table."""
         p = self.p[leaf]
         if given is not None:
             keep = np.zeros(p.shape[1])
             keep[list(given)] = 1.0
             p = p * keep
             p = p / p.sum(axis=1)[:, None]
-        total = 0
-        for i in set(values):
-            total = total + p[:, i]
-        return total
+        return p
+
+    def mass(self, leaf, values, given=None):
+        """Each leaf's ``event_probability`` of the value set ``values``,
+        after conditioning on the value set ``given`` if there is one; the
+        probabilities are added in the order of ``set(values)``."""
+        p = self.conditioned(leaf, given)
+        return sum(p[:, i] for i in set(values))
 
     factor = mass
 

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -7,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from probtree import (DecisionNode, Dataset, LearnerConfig, Variable, ingest_csv, learn, load,
                       log_likelihood, save)
@@ -296,6 +299,16 @@ BAD_FLAGS = {
     "sample-count-beyond-an-index": ["sample", "--model", "{model}", "-n", str(10 ** 30)],
     "eval-fractions-not-numbers": ["eval", "--experiment", "toy", "--n", "100",
                                    "--fractions", "abc"],
+    "eval-toy-n-zero": ["eval", "--experiment", "toy", "--n", "0"],
+    "eval-toy-n-one": ["eval", "--experiment", "toy", "--n", "1"],
+    "eval-regression-n-negative": ["eval", "--experiment", "regression", "--n", "-5"],
+    "eval-n-not-a-number": ["eval", "--experiment", "toy", "--n", "ten"],
+    "query-confidence-above-one": ["query", "--model", "{model}", "--expect", "petal_length",
+                                   "--confidence", "1.5"],
+    "query-confidence-negative": ["query", "--model", "{model}", "--expect", "petal_length",
+                                  "--confidence=-0.1"],
+    "query-confidence-nan": ["query", "--model", "{model}", "--expect", "petal_length",
+                             "--confidence", "nan"],
 }
 
 
@@ -314,3 +327,50 @@ class TestFlagErrors:
         assert "error: " in err
         assert "Traceback" not in err
         assert not out.exists()
+
+
+# -- the constraint grammar under fuzzing ---------------------------------------
+
+NUMERIC_NAMES = ("sepal_length", "sepal_width", "petal_length", "petal_width")
+NUMBERS = st.one_of(st.floats(-10, 10).map(repr), st.integers(-3, 9).map(str),
+                    st.sampled_from(["nan", "-nan", "inf", "-inf", "1e999", "-1e999", "1e-320",
+                                     "", "abc", "1.5.2", "0x10", "1_0"]))
+LABELS = st.sampled_from(["setosa", "versicolor", "virginica", "Setosa", "tulip", "", " "])
+NAMES = st.sampled_from(NUMERIC_NAMES + ("species", "bogus", "", "species species"))
+STATEMENTS = st.one_of(
+    st.builds("{} = {}".format, NAMES, st.one_of(NUMBERS, LABELS)),
+    st.builds("{} in [{}, {}]".format, NAMES, NUMBERS, NUMBERS),
+    st.builds("{} in {{{}}}".format, NAMES,
+              st.lists(LABELS, min_size=0, max_size=4).map(", ".join)),
+    st.builds("{} in [{}, {}".format, NAMES, NUMBERS, NUMBERS),  # unclosed
+    st.builds("{} in {{{}".format, NAMES, LABELS),
+    st.builds("{} in {}".format, NAMES, NUMBERS),
+    st.text(alphabet="xyz=[]{},;. -0123456789in", max_size=20),
+)
+CONSTRAINTS = st.lists(STATEMENTS, min_size=1, max_size=4).map("; ".join)
+
+
+@pytest.fixture(scope="module")
+def fuzz_model(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "model.json"
+    assert main(["train", "--data", str(DATA_DIR / "iris.csv"), "--out", str(path),
+                 "--min-samples-leaf", "0.1"]) == 0
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(mode=st.sampled_from(["--q", "--mpe", "--expect"]), q=CONSTRAINTS,
+       e=st.one_of(st.none(), CONSTRAINTS), target=st.sampled_from(NUMERIC_NAMES + ("species",)))
+def test_query_constraints_never_end_in_a_traceback(fuzz_model, mode, q, e, target):
+    argv = ["query", "--model", str(fuzz_model), "--json"]
+    argv += {"--q": [f"--q={q}"], "--mpe": ["--mpe"], "--expect": ["--expect", target]}[mode]
+    if e is not None:
+        argv.append(f"--e={e}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == (err.getvalue() == ""), (argv, err.getvalue())
+    if code == 0:
+        json.loads(out.getvalue())

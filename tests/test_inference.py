@@ -10,7 +10,7 @@ from probtree import (AssignmentError, DataError, Dataset, DecisionNode, Dirac,
                       ZeroEvidenceError, event_probability, expectation_query,
                       ingest_csv, leaf_posterior, learn, log_likelihood,
                       make_assignment, mpe, posterior_distributions, sample)
-from probtree.inference import _conditioner, _merge_numeric
+from probtree.inference import _merge_numeric
 from probtree.learner import EQUALS, THRESHOLD, grow
 
 
@@ -318,6 +318,28 @@ def random_leaf_cdf(rng):
     return PiecewiseLinearCDF(np.column_stack([x, F]))
 
 
+def merged(w, comps):
+    """``_merge_numeric`` of the components ``comps`` with weights ``w``,
+    packed as ``NumericColumn.conditioned`` packs a column's leaves."""
+    owner = np.repeat(np.arange(len(comps)), [len(d.x) for d in comps])
+    return _merge_numeric(np.asarray(w, dtype=float), owner,
+                          np.concatenate([d.x for d in comps]),
+                          np.concatenate([d.F for d in comps]))
+
+
+def assert_is_the_mixture(merged_cdf, w, comps):
+    """The merged CDF and its left limit equal ``sum_k w_k F_k`` within
+    1e-12 at every hinge and between hinges, and so does the mean."""
+    grid = np.unique(np.concatenate([d.x for d in comps]))
+    for g in np.concatenate([grid, (grid[1:] + grid[:-1]) / 2]):
+        assert merged_cdf.cdf(g) == pytest.approx(
+            sum(wk * d.cdf(g) for wk, d in zip(w, comps)), abs=1e-12)
+        assert merged_cdf.cdf_left(g) == pytest.approx(
+            sum(wk * d.cdf_left(g) for wk, d in zip(w, comps)), abs=1e-12)
+    mean = sum(wk * d.expectation() for wk, d in zip(w, comps))
+    assert abs(merged_cdf.expectation() - mean) <= 1e-12
+
+
 class TestMergedMarginal:
     """Numeric posterior marginals are the exact mixture CDF."""
 
@@ -327,22 +349,32 @@ class TestMergedMarginal:
             comps = [random_leaf_cdf(rng) for _ in range(int(rng.integers(1, 6)))]
             w = rng.random(len(comps)) + 0.01
             w /= w.sum()
-            merged = _merge_numeric(list(zip(w, comps)))
-            grid = np.unique(np.concatenate([d.x for d in comps]))
-            for g in np.concatenate([grid, (grid[1:] + grid[:-1]) / 2]):
-                assert merged.cdf(g) == pytest.approx(
-                    sum(wk * d.cdf(g) for wk, d in zip(w, comps)), abs=1e-12)
-                assert merged.cdf_left(g) == pytest.approx(
-                    sum(wk * d.cdf_left(g) for wk, d in zip(w, comps)), abs=1e-12)
-            mean = sum(wk * d.expectation() for wk, d in zip(w, comps))
-            assert abs(merged.expectation() - mean) <= 1e-12
+            assert_is_the_mixture(merged(w, comps), w, comps)
+
+    def test_nearly_coinciding_hinges(self):
+        # steep pieces between hinges 1e-6 to 1e-12 apart, among ordinary
+        # ones: a plain running sum of the slopes keeps their rounding
+        # error in every later slope
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            comps = []
+            for _ in range(int(rng.integers(2, 8))):
+                x = np.sort(rng.uniform(-5.0, 5.0, int(rng.integers(2, 7))))
+                j = int(rng.integers(0, len(x) - 1))
+                x = np.insert(x, j + 1, x[j] + 10.0 ** -rng.integers(6, 13))
+                F = np.sort(rng.random(len(x)))
+                F[-1] = 1.0
+                comps.append(PiecewiseLinearCDF(np.column_stack([x, F])))
+            w = rng.random(len(comps)) + 0.01
+            w /= w.sum()
+            assert_is_the_mixture(merged(w, comps), w, comps)
 
     def test_atoms_stay_at_their_hinges(self):
-        merged = _merge_numeric([(0.5, PiecewiseLinearCDF([[0, .5], [1, 1]])),
-                                 (0.5, PiecewiseLinearCDF([[2, .5], [3, 1]]))])
-        assert merged.x.tolist() == [0.0, 1.0, 2.0, 2.0, 3.0]
-        assert merged.F.tolist() == [0.25, 0.5, 0.5, 0.75, 1.0]
-        assert merged.expectation() == 1.25
+        m = merged([0.5, 0.5], [PiecewiseLinearCDF([[0, .5], [1, 1]]),
+                                PiecewiseLinearCDF([[2, .5], [3, 1]])])
+        assert m.x.tolist() == [0.0, 1.0, 2.0, 2.0, 3.0]
+        assert m.F.tolist() == [0.25, 0.5, 0.5, 0.75, 1.0]
+        assert m.expectation() == 1.25
 
     def test_mean_matches_expectation_query(self, iris_model, toy_hybrid_model):
         for model, spec in ((iris_model, {"petal_width": (0.2, 1.5)}),
@@ -712,19 +744,145 @@ def reference_leaf_posterior(model, e, prune=True):
     return weights / total
 
 
+def reference_conditioner(e):
+    """``condition(dist, name)``: a leaf's distribution of ``name`` conditioned
+    on ``e``, where a zero mass raises DistributionError. Every leaf shares
+    the one point mass of a point constraint."""
+    points = {name: Dirac(c.lower) for name, c in e.items()
+              if isinstance(c, Interval) and c.is_point}
+
+    def condition(dist, name):
+        constraint = e.get(name)
+        if constraint is None:
+            return dist
+        if name in points:
+            return points[name]
+        if isinstance(constraint, Interval):
+            return dist.crop(constraint.lower, constraint.upper)
+        return dist.condition(constraint)
+
+    return condition
+
+
+def reference_conditioned(model, e, names):
+    """The leaves with positive posterior: their posteriors as floats, and
+    for each such leaf its distributions of ``names`` conditioned on ``e``."""
+    posterior = reference_leaf_posterior(model, e)
+    condition = reference_conditioner(e)
+    weights, dists = [], []
+    for k in np.flatnonzero(posterior):
+        leaf = model.leaves[k]
+        weights.append(float(posterior[k]))
+        dists.append({name: condition(leaf.distributions[name], name) for name in names})
+    return weights, dists
+
+
 def reference_event_probability(model, q, e):
     """Each surviving leaf's posterior times the query masses of its
     distributions conditioned on ``e``, added one leaf at a time."""
-    posterior = reference_leaf_posterior(model, e)
-    condition = _conditioner(e)
+    weights, dists = reference_conditioned(model, e, list(q))
     total = 0.0
-    for k in np.flatnonzero(posterior):
-        factor = float(posterior[k])
+    for factor, d in zip(weights, dists):
         for name, constraint in q.items():
-            factor *= _reference_mass(
-                condition(model.leaves[k].distributions[name], name), constraint)
+            factor *= _reference_mass(d[name], constraint)
         total += factor
     return min(1.0, max(0.0, total))
+
+
+def reference_merge(components):
+    """Positively weighted step-free CDFs as their mixture CDF, each
+    component evaluated on the union of their hinges; a grid point above the
+    first where some components have their first-hinge atom becomes a step."""
+    xs = np.unique(np.concatenate([d.x for _, d in components]))
+    F = np.zeros_like(xs)
+    for w, d in components:
+        F += w * d.cdf_vec(xs)
+    first = xs.searchsorted([d.x[0] for _, d in components])
+    atoms = np.bincount(first, weights=[w * d.F[0] for w, d in components],
+                        minlength=len(xs))
+    step = np.flatnonzero(atoms[1:] > 0.0) + 1
+    xs = np.insert(xs, step, xs[step])
+    F = np.insert(F, step, (F - atoms)[step])
+    F = np.maximum.accumulate(F / F[-1])
+    F[-1] = 1.0
+    return PiecewiseLinearCDF(np.column_stack([xs, F]))
+
+
+def reference_posterior_distributions(model, e):
+    """Each variable's mixture of the surviving leaves' conditioned
+    distributions, added one leaf at a time."""
+    weights, dists = reference_conditioned(model, e, [var.name for var in model.schema])
+    out = {}
+    for var in model.schema:
+        comps = [(w, d[var.name]) for w, d in zip(weights, dists)]
+        if var.numeric:
+            out[var.name] = reference_merge(comps)
+        else:
+            p = np.zeros(len(var.domain))
+            for w, d in comps:
+                p += w * d.p
+            out[var.name] = Multinomial(var, p / p.sum())
+    return out
+
+
+def reference_expectation_query(model, target, e, theta=0.95):
+    """The mixture of the leaves' conditioned means, and the confidence
+    interval of the merged CDF widened to contain it."""
+    comps = [(w, d[target]) for w, d in zip(*reference_conditioned(model, e, [target]))]
+    mean = sum(w * d.expectation() for w, d in comps)
+    l, u = reference_merge(comps).confidence_interval(theta)
+    return mean, min(l, mean), max(u, mean)
+
+
+def reference_max_density_point(dist):
+    """The midpoint of the steepest piece (leftmost on ties) and its slope,
+    or a point mass's value with unit density."""
+    if len(dist.x) == 1:
+        return float(dist.x[0]), 1.0
+    x, F = dist.x, dist.F
+    slopes = (F[1:] - F[:-1]) / (x[1:] - x[:-1])
+    k = int(slopes.argmax())
+    return float((x[k] + x[k + 1]) / 2.0), float(slopes[k])
+
+
+def reference_mpe(model, e):
+    """Each surviving leaf's best world and score, kept when it beats the
+    best of the leaves before it."""
+    weights, dists = reference_conditioned(model, e, [var.name for var in model.schema])
+    best = None
+    for score, d in zip(weights, dists):
+        world = {}
+        for var in model.schema:
+            dist = d[var.name]
+            if var.symbolic:
+                idx = dist.argmax()
+                world[var.name] = var.domain[idx]
+                score *= float(dist.p[idx])
+            else:
+                world[var.name], f = reference_max_density_point(dist)
+                score *= f
+        if score > 0.0 and (best is None or score > best[1]):
+            best = (world, score)
+    return best
+
+
+def assert_matches_the_reference(model, e):
+    """``posterior_distributions``, ``mpe`` and ``expectation_query`` against
+    the reference loop: symbolic marginals, worlds and scores bit for bit,
+    numeric marginals on the same grid and means and intervals within
+    1e-12."""
+    got, want = posterior_distributions(model, e), reference_posterior_distributions(model, e)
+    for var in model.schema:
+        g, w = got[var.name], want[var.name]
+        if var.symbolic:
+            assert g.p.tobytes() == w.p.tobytes(), (var.name, e)
+        else:
+            assert g.x.tobytes() == w.x.tobytes(), (var.name, e)
+            assert np.abs(g.F - w.F).max() <= 1e-12, (var.name, e)
+            assert np.allclose(expectation_query(model, var.name, e),
+                               reference_expectation_query(model, var.name, e),
+                               rtol=0.0, atol=1e-12), (var.name, e)
+    assert mpe(model, e) == reference_mpe(model, e), e
 
 
 def threshold_model():
@@ -795,14 +953,17 @@ REFERENCE_MODELS = {
 
 
 class TestMatchesThePerLeafLoop:
-    """``leaf_posterior`` and ``event_probability`` give the reference loop's
-    answers bit for bit, on hinges, point masses and path thresholds."""
+    """Every posterior query gives the reference loop's answers, on hinges,
+    point masses and path thresholds: ``leaf_posterior`` and
+    ``event_probability`` bit for bit, the others as
+    ``assert_matches_the_reference`` says."""
 
     @pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
     def test_bitwise(self, name):
         model = REFERENCE_MODELS[name]()
         names = [v.name for v in model.schema]
         rng = np.random.default_rng(len(name))
+        assert_matches_the_reference(model, {})
         answered = 0
         for _ in range(400):
             e_names = rng.choice(names, size=int(rng.integers(1, len(names) + 1)), replace=False)
@@ -827,6 +988,8 @@ class TestMatchesThePerLeafLoop:
             assert unpruned.tobytes() == got.tobytes(), e
             assert (event_probability(model, q, e).hex()
                     == reference_event_probability(model, q, e).hex()), (q, e)
+            if answered % 3 == 0:
+                assert_matches_the_reference(model, e)
         assert answered >= 100
 
     def test_query_on_evidence_variables(self):
@@ -842,6 +1005,7 @@ class TestMatchesThePerLeafLoop:
             e, q = make_assignment(schema, e), make_assignment(schema, q)
             assert (event_probability(model, q, e).hex()
                     == reference_event_probability(model, q, e).hex()), (q, e)
+            assert_matches_the_reference(model, e)
 
     def test_point_on_an_open_threshold(self):
         # y = 0 is the last hinge of leaf 2 and outside leaf 3's region (0, inf)
@@ -868,6 +1032,76 @@ class TestMatchesThePerLeafLoop:
         for prune in (True, False):
             assert (leaf_posterior(model, e, prune).tobytes()
                     == reference_leaf_posterior(model, e, prune).tobytes())
+
+
+def evidence_of_each_kind(rng, model):
+    """An interval and a point on numeric variables and a value set on a
+    symbolic one, each of positive probability."""
+    numeric = [v for v in model.schema if v.numeric]
+    symbolic = [v for v in model.schema if v.symbolic]
+    for kind, pool in (("interval", numeric), ("point", numeric), ("set", symbolic)):
+        for _ in range(200):
+            var = pool[int(rng.integers(len(pool)))]
+            if kind == "set":
+                c = _constraint(rng, model, var)
+            else:
+                pts = [p for p in _points(model, var.name) if math.isfinite(p)]
+                a, b = sorted(float(v) for v in rng.choice(pts, 2, replace=False))
+                c = Interval(a, a) if kind == "point" else Interval(a, b)
+            try:
+                reference_leaf_posterior(model, {var.name: c})
+            except ZeroEvidenceError:
+                continue
+            yield kind, {var.name: c}
+            break
+
+
+class TestSampleFollowsTheConditionedLeaves:
+    n = 50_000
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
+    def test_draws(self, name):
+        model = REFERENCE_MODELS[name]()
+        rng = np.random.default_rng(len(name))
+        names = [v.name for v in model.schema]
+        kinds = []
+        for kind, e in evidence_of_each_kind(rng, model):
+            kinds.append(kind)
+            out = sample(model, self.n, np.random.default_rng(7), e)
+            # every row comes from one kept leaf: each value in its support
+            _, dists = reference_conditioned(model, e, names)
+            fits = np.ones((self.n, len(dists)), dtype=bool)
+            for var in model.schema:
+                v = out.column(var.name)
+                if var.symbolic:
+                    p = np.array([d[var.name].p for d in dists])
+                    fits &= p[:, v.astype(int)].T > 0.0
+                else:
+                    lo, hi = np.array([d[var.name].support for d in dists]).T
+                    fits &= (v[:, None] >= lo) & (v[:, None] <= hi)
+            assert fits.any(axis=1).all(), e
+            (var_name, c), = e.items()
+            v = out.column(var_name)
+            if isinstance(c, Interval):
+                assert np.all((v >= c.lower) & (v <= c.upper)), e
+            else:
+                assert set(np.unique(v).astype(int)) <= c, e
+            # the draws follow the posterior marginals
+            marginals = posterior_distributions(model, e)
+            bound = math.sqrt(math.log(2 / 1e-9) / (2 * self.n))  # DKW at 1e-9
+            for var in model.schema:
+                v, m = np.sort(out.column(var.name)), marginals[var.name]
+                if var.symbolic:
+                    freq = np.bincount(v.astype(int), minlength=len(var.domain)) / self.n
+                    assert np.all(np.abs(freq - m.p) <= 5 * np.sqrt(m.p * (1 - m.p) / self.n) + 1e-12)
+                    continue
+                pts = np.unique(np.concatenate([m.x, np.quantile(v, np.linspace(0, 1, 201))]))
+                right = v.searchsorted(pts, side="right") / self.n
+                left = v.searchsorted(pts, side="left") / self.n
+                gap = max(max(abs(right[i] - m.cdf(p)), abs(left[i] - m.cdf_left(p)))
+                          for i, p in enumerate(pts))
+                assert gap <= bound, (var.name, e, gap)
+        assert kinds == ["interval", "point", "set"]
 
 
 class TestLeafTable:
