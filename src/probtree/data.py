@@ -322,7 +322,8 @@ def ingest_csv(path, schema_override: dict | None = None) -> Dataset:
     and wins over inference.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        # utf-8-sig reads past a byte-order mark, which would join the first name
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -331,6 +332,10 @@ def ingest_csv(path, schema_override: dict | None = None) -> Dataset:
             rows = list(reader)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: not a UTF-8 CSV file ({exc})") from None
+    if not header:
+        raise DataError(f"{path}: no column names in the first line")
     if len(set(header)) != len(header):
         raise DataError(f"{path}: duplicate column names in header")
     if not rows:

@@ -13,7 +13,8 @@ import math
 import numpy as np
 
 from .data import Assignment, AssignmentError, Dataset, Interval
-from .learner import Leaf, TreeModel
+from .leaftable import first_at_least
+from .learner import TreeModel
 from .multinomial import Multinomial
 from .plcdf import PiecewiseLinearCDF
 
@@ -204,23 +205,6 @@ def mpe(model: TreeModel, e: Assignment | None = None):
              else float(values[var.name][k]) for var in model.schema}, float(score[k]))
 
 
-def _route(model: TreeModel, values: np.ndarray) -> np.ndarray:
-    """Index in ``model.leaves`` of the leaf each row of ``values`` reaches,
-    routing all rows through each decision node at once."""
-    out = np.empty(len(values), dtype=np.intp)
-    stack = [(model.root, np.arange(len(values)))]
-    while stack:
-        node, rows = stack.pop()
-        if isinstance(node, Leaf):
-            out[rows] = node.index
-        elif len(rows):
-            crit = node.criterion
-            left = crit.matches(values[rows, model._index[crit.variable.name]])
-            stack.append((node.right, rows[~left]))
-            stack.append((node.left, rows[left]))
-    return out
-
-
 def log_likelihood(model: TreeModel, data: Dataset):
     """Average per-row log-likelihood and the fraction of zero-likelihood rows.
 
@@ -236,7 +220,7 @@ def log_likelihood(model: TreeModel, data: Dataset):
                               "does not match the model")
     if len(data) == 0:
         raise AssignmentError("cannot score a dataset without rows")
-    leaf = _route(model, data.values)
+    leaf = model.route(data.values)
     logp = np.log(model.table.prior)[leaf]
     zero = np.zeros(len(data), dtype=bool)
     for j, var in enumerate(model.schema):
@@ -254,22 +238,12 @@ def log_likelihood(model: TreeModel, data: Dataset):
     return average, float(zero.sum() / len(data))
 
 
-def _first_at_least(F, first, last, v) -> np.ndarray:
-    """Each query's first row in ``first..last`` with F >= v, by binary
-    lifting over all queries at once: F rises within a range and its last
-    row qualifies."""
-    g = first.copy()
-    for step in 1 << np.arange(int((last - first).max()).bit_length())[::-1]:
-        g += step * (F[np.minimum(g + (step - 1), last)] < v)
-    return g
-
-
 def _quantile(owner, x, F, leaf, u) -> np.ndarray:
     """Quantile u < 1 of each given leaf's packed CDF, as ``ppf`` gives it:
     a plateau maps to its left end and u <= F[0] to x[0]. No rounding takes
     a quantile past the end of its piece."""
     first = np.flatnonzero(np.diff(owner, prepend=-1))[leaf]
-    g = _first_at_least(F, first, np.flatnonzero(np.diff(owner, append=len(owner)))[leaf], u)
+    g = first_at_least(F, first, np.flatnonzero(np.diff(owner, append=len(owner)))[leaf], u)
     i = np.flatnonzero((g > first) & (F[g] > u))
     out, a, b = x[g], g[i] - 1, g[i]
     out[i] = np.minimum(x[a] + (u[i] - F[a]) / (F[b] - F[a]) * (x[b] - x[a]), x[b])
@@ -297,6 +271,6 @@ def sample(model: TreeModel, n: int, rng, e: Assignment | None = None) -> Datase
                 values[rows, j] = _quantile(*leaves, leaf[rows], u)
             else:  # the first label whose cumulative mass is above u times the total
                 first = leaf[rows] * k
-                values[rows, j] = _first_at_least(
+                values[rows, j] = first_at_least(
                     cum, first, first + k - 1, np.nextafter(u * cum[first + k - 1], np.inf)) - first
     return Dataset(model.schema, values)

@@ -2,31 +2,27 @@
 that a query evaluates all leaves in a few array operations instead of one
 Python call per leaf and variable.
 
-Per numeric variable it holds all leaves' hinges packed together; per
-symbolic variable the ``[leaf, k]`` histogram table; per variable each
-leaf's path region: the bounds ``lo``/``hi`` with their open flags, or the
-admissible values. Every method takes ``leaf``, an index array of the leaves
-to evaluate, and returns one value per entry of it, or with ``conditioned``
-those leaves' distributions conditioned on the evidence, packed as arrays.
+Its store holds per numeric variable all leaves' hinges packed together,
+per symbolic variable the ``[leaf, k]`` histogram table; its regions hold
+per variable each leaf's path region: the bounds ``lo``/``hi`` with their
+open flags, or the admissible values, which ``regions`` derives from the
+tree's node arrays. Every method of a column takes ``leaf``, an index array
+of the leaves to evaluate, and returns one value per entry of it, or with
+``conditioned`` those leaves' distributions conditioned on the evidence,
+packed as arrays.
 
-A model builds its table once, and the table packs each variable's column
-the first time a query reads it, and the column its path regions the first
-time pruning does: a command that reloads a model and asks one query packs
-only what that query reads.
+A column derives its search keys and slopes from the store the first time
+a query reads it: a command that reloads a model and asks one query
+derives only what that query reads.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
-from itertools import chain
-from operator import attrgetter
 
 import numpy as np
 
 from .data import DataError, Interval
-
-_BOUNDS = attrgetter("lower", "upper", "lower_open", "upper_open")
 
 
 def _read_only(*arrays) -> None:
@@ -43,54 +39,98 @@ def _keys(leaf, v) -> np.ndarray:
     return keys
 
 
-def _bounds(name: str, paths):
-    """Each path's interval for ``name`` as read-only arrays ``lo``, ``hi``,
-    ``lo_open``, ``hi_open``; a path that leaves ``name`` free has the whole
-    line, closed."""
-    conds = [p.get(name) for p in paths]
-    bound = [k for k, c in enumerate(conds) if c is not None]
-    b = np.tile([-math.inf, math.inf, 0.0, 0.0], (len(paths), 1))
-    b[bound] = np.fromiter(chain.from_iterable(map(_BOUNDS, map(conds.__getitem__, bound))),
-                           dtype=float, count=4 * len(bound)).reshape(-1, 4)
-    b = b.T.copy()
-    region = b[0], b[1], b[2] > 0.0, b[3] > 0.0
-    _read_only(*region)
-    return region
+def first_at_least(a, first, last, v) -> np.ndarray:
+    """Each query's first row in ``first..last`` with a >= v, by binary
+    lifting over all queries at once: a rises within a range. Where no row
+    qualifies the result is past ``last``."""
+    g = first.copy()
+    for step in 1 << np.arange(int((last - first).max() + 1).bit_length())[::-1]:
+        g += step * (a[np.minimum(g + (step - 1), last)] < v)
+    return g
+
+
+def regions(schema, tree, n_leaves: int):
+    """Each leaf's path region, from one pass over the node arrays of
+    ``tree``, level by level from the root, node 0, which no node may have
+    as a child; no node may have two parents.
+
+    A numeric region runs from the largest threshold t whose side x > t the
+    path takes, open, to the smallest whose side x <= t it takes, closed, as
+    ``Interval.intersect`` leaves it: open at an infinite end, and the whole
+    line closed for a variable no split constrains. A value split leaves
+    the value on its left side and all others on its right.
+
+    Returns the regions by variable name, ``(lo, hi, lo_open, hi_open)``
+    over the leaves or a ``[leaf, k]`` mask of the values admitted; the leaf
+    nodes reached; and those of them with an empty region.
+    """
+    numeric = np.array([var.numeric for var in schema], dtype=bool)
+    width = [2 if var.numeric else len(var.domain) for var in schema]
+    off = np.cumsum([0] + width[:-1])  # each variable's first column
+    owner, cols = np.repeat(np.arange(len(schema)), width), np.arange(sum(width))
+    # a row per node of a level: lo and hi of each numeric variable, and 1
+    # or 0 for each value of a symbolic one, admitted or not
+    bounds = np.ones((1, len(cols)))
+    bounds[0, off[numeric]], bounds[0, off[numeric] + 1] = -math.inf, math.inf
+    nodes, done = np.zeros(1, dtype=np.intp), []
+    while nodes.size:
+        f = tree.feature[nodes]
+        inner = f >= 0
+        done.append((nodes[~inner], bounds[~inner]))
+        parents, f = nodes[inner], f[inner]
+        t, m = tree.value[parents], len(parents)
+        nodes = np.concatenate([tree.left[parents], tree.right[parents]])
+        bounds = np.concatenate([bounds[inner], bounds[inner]])  # left children, then right
+        r = np.flatnonzero(numeric[f])
+        c, tr = off[f[r]], t[r]
+        bounds[r, c + 1] = np.minimum(bounds[r, c + 1], tr)
+        bounds[r + m, c] = np.maximum(bounds[r + m, c], tr)
+        r = np.flatnonzero(~numeric[f])
+        v = off[f[r]] + t[r].astype(np.intp)
+        bounds[r] *= (owner != f[r, None]) | (cols == v[:, None])
+        bounds[r + m, v] = 0.0
+    leaf_nodes, bounds = map(np.concatenate, zip(*done))
+    # each leaf's row; one that no node holds gets a junk row
+    at = np.zeros(n_leaves, dtype=np.intp)
+    at[tree.leaf[leaf_nodes]] = np.arange(len(leaf_nodes))
+    bounds, out, empty = bounds[at].T.copy(), {}, np.zeros(n_leaves, dtype=bool)
+    for var, a, k in zip(schema, off, width):
+        if var.numeric:
+            lo, hi = bounds[a], bounds[a + 1]
+            bound = np.isfinite(lo) | np.isfinite(hi)
+            out[var.name] = region = lo, hi, bound, bound & (hi == math.inf)
+            empty |= lo >= hi
+        else:
+            out[var.name] = mask = (bounds[a:a + k] > 0.0).T.copy()
+            region = [mask]
+            empty |= ~mask.any(axis=1)
+        _read_only(*region)
+    return out, leaf_nodes, leaf_nodes[at[empty]]
 
 
 class NumericColumn:
     """All leaves' CDFs of one numeric variable and their path bounds.
 
-    Leaf i's hinges are rows ``first[i]`` to ``last[i]`` of ``x`` and ``F``.
-    Leaf CDFs have no steps: x rises strictly within a leaf.
+    Leaf i's hinges are rows ``first[i]`` to ``last[i]`` of ``x`` and ``F``,
+    and its path interval is ``(lo, hi, lo_open, hi_open)[i]`` of
+    ``region``. Leaf CDFs have no steps: x rises strictly within a leaf.
     """
 
-    def __init__(self, name: str, leaves):
-        self.name, self._leaves = name, leaves
-        dists = [leaf.distributions[name] for leaf in leaves]
-        xs = [d.x for d in dists]
-        sizes = np.fromiter(map(len, xs), dtype=np.intp, count=len(xs))
-        self.last = np.cumsum(sizes) - 1
-        self.first = self.last - sizes + 1
-        self.x = x = np.concatenate(xs)
-        self.F = F = np.concatenate([d.F for d in dists])
+    def __init__(self, name: str, x, F, first, last, region):
+        self.name, self.x, self.F, self.region = name, x, F, region
+        self.first, self.last = first, last
         # slope of the piece ending at each hinge; a leaf's first hinge ends
         # no piece and holds a point mass's unit density instead
         dx = x[1:] - x[:-1]
-        dx[self.first[1:] - 1] = 1.0
+        dx[first[1:] - 1] = 1.0
         if np.count_nonzero(dx <= 0.0):
             raise DataError(f"leaf CDFs of {name!r} must have strictly increasing hinges")
         self.ending = np.ones(len(x))
         np.divide(F[1:] - F[:-1], dx, out=self.ending[1:])
-        self.ending[self.first] = 1.0
+        self.ending[first] = 1.0
         # sorted, since each leaf's hinges are
-        self.keys = _keys(np.repeat(np.arange(len(dists)), sizes), x)
-        _read_only(self.last, self.first, self.x, self.F, self.ending, self.keys)
-
-    @cached_property
-    def region(self):
-        """Each leaf's path interval: ``(lo, hi, lo_open, hi_open)``."""
-        return _bounds(self.name, [leaf.path for leaf in self._leaves])
+        self.keys = _keys(np.repeat(np.arange(len(first)), last - first + 1), x)
+        _read_only(self.ending, self.keys)
 
     def locate(self, leaf, v):
         """For each leaf and value (v is a scalar or one value per leaf): the
@@ -101,10 +141,11 @@ class NumericColumn:
     def density(self, leaf, v):
         """Each leaf's ``density(v)``: 0 outside its support, the right
         piece's slope at a hinge, the left piece's at the last hinge, and 1
-        at a point mass's value."""
-        g = self.locate(leaf, v)
-        end = self.last[leaf]
-        inside = (g > self.first[leaf]) & (v <= self.x[end])
+        at a point mass's value. The hinge after v is found by a search of
+        each leaf's own rows."""
+        first, end = self.first[leaf], self.last[leaf]
+        g = first_at_least(self.x, first, end, np.nextafter(v, math.inf))  # first x > v
+        inside = (g > first) & (v <= self.x[end])
         return np.where(inside, self.ending[np.minimum(g, end)], 0.0)
 
     def crop(self, leaf, given: Interval | None = None):
@@ -190,27 +231,11 @@ class NumericColumn:
 
 class SymbolicColumn:
     """All leaves' histograms of one symbolic variable as a ``[leaf, k]``
-    table, and the values each leaf's path admits as a ``[leaf, k]`` mask."""
+    table ``p``, and the values each leaf's path admits as a ``[leaf, k]``
+    mask ``admissible``."""
 
-    def __init__(self, name: str, k: int, leaves):
-        self.name, self._leaves = name, leaves
-        self.p = np.concatenate([leaf.distributions[name].p for leaf in leaves]).reshape(-1, k)
-        _read_only(self.p)
-
-    @cached_property
-    def admissible(self):
-        """Whether each leaf's path admits each value, set by one scatter of
-        every (leaf, admissible value) pair; a path that leaves the
-        variable free admits its whole domain."""
-        n, k = self.p.shape
-        whole = frozenset(range(k))
-        admitted = [leaf.path.get(self.name, whole) for leaf in self._leaves]
-        rows = np.repeat(np.arange(n), list(map(len, admitted)))
-        mask = np.zeros((n, k), dtype=bool)
-        mask[rows, np.fromiter(chain.from_iterable(admitted), dtype=np.intp,
-                               count=len(rows))] = True
-        _read_only(mask)
-        return mask
+    def __init__(self, name: str, p, admissible):
+        self.name, self.p, self.admissible = name, p, admissible
 
     def conditioned(self, leaf, given=None):
         """Each leaf's histogram conditioned on the value set ``given``, as
@@ -238,26 +263,44 @@ class SymbolicColumn:
 
 
 class LeafTable:
-    """The model's leaves as arrays: the prior vector and one column per
-    variable, each indexed by leaf like ``TreeModel.leaves``."""
+    """The model's leaves as arrays: the prior and sample-count vectors, the
+    store and the path regions (see the module docstring), each indexed by
+    leaf like ``TreeModel.leaves``."""
 
-    def __init__(self, schema, leaves):
-        self.prior = np.array([leaf.prior for leaf in leaves], dtype=float)
-        self.all_leaves = np.arange(len(leaves))
-        _read_only(self.prior, self.all_leaves)
-        self._variables = {var.name: var for var in schema}
-        self._leaves = leaves
+    def __init__(self, prior, sample_count, store: dict, regions: dict):
+        self.prior = np.array(prior, dtype=float)
+        self.sample_count = np.array(sample_count, dtype=float)
+        self.all_leaves = np.arange(len(self.prior))
+        _read_only(self.prior, self.sample_count, self.all_leaves)
+        for packed in store.values():
+            _read_only(*(packed if isinstance(packed, tuple) else [packed]))
+        self.store, self.regions = store, regions
         self._columns = {}
 
     def column(self, name: str):
-        """The column of variable ``name``, packed when it is first read."""
+        """The column of variable ``name``, made when it is first read."""
         column = self._columns.get(name)
         if column is None:
-            var = self._variables[name]
-            column = (NumericColumn(name, self._leaves) if var.numeric
-                      else SymbolicColumn(name, len(var.domain), self._leaves))
+            packed, region = self.store[name], self.regions[name]
+            column = (NumericColumn(name, *packed, region) if isinstance(packed, tuple)
+                      else SymbolicColumn(name, packed, region))
             self._columns[name] = column
         return column
+
+    def paths(self) -> list[dict]:
+        """Each leaf's path as an Assignment: the interval of each numeric
+        variable and the admitted values of each symbolic one that the
+        splits above the leaf constrain."""
+        out = [{} for _ in self.prior]
+        for name, region in self.regions.items():
+            if isinstance(region, tuple):
+                bounds = [a.tolist() for a in region]
+                for k in np.flatnonzero(region[2]):  # lo_open: the path bounds name
+                    out[k][name] = Interval(*(b[k] for b in bounds))
+            else:
+                for k in np.flatnonzero(~region.all(axis=1)):
+                    out[k][name] = frozenset(np.flatnonzero(region[k]).tolist())
+        return out
 
     def compatible(self, e) -> np.ndarray:
         """Whether each leaf's path meets every constraint of ``e``: the

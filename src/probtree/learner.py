@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .data import Assignment, DataError, Dataset, Interval, Variable, is_number
-from .leaftable import LeafTable
-from .multinomial import Multinomial, entropy_rel
-from .plcdf import build_quantile_dataset, cdf_learn
+from .data import Assignment, DataError, Dataset, Variable, is_number
+from .leaftable import LeafTable, regions
+from .multinomial import Multinomial, entropy_rel, packed_histograms
+from .plcdf import build_quantile_dataset, cdf_learn, packed_cdfs
 
 _PURE = 1e-12  # impurity at or below this counts as zero
 
@@ -42,6 +43,11 @@ class SplitCriterion:
             return cell <= self.threshold
         return cell == self.value_index
 
+    @property
+    def value(self) -> float:
+        """The threshold, or the value index: ``Tree.value`` of the node."""
+        return self.threshold if self.kind == THRESHOLD else self.value_index
+
     def label(self) -> str:
         if self.kind == THRESHOLD:
             return f"{self.variable.name} <= {self.threshold:g}"
@@ -57,7 +63,8 @@ class DecisionNode:
 
 @dataclass
 class Leaf:
-    """Terminal node: mixture component with per-variable distributions."""
+    """Terminal node: mixture component with per-variable distributions,
+    and its path: the region that the splits above it leave."""
 
     index: int
     prior: float
@@ -65,37 +72,100 @@ class Leaf:
     path: Assignment
     sample_count: float
 
-    def accepts_row(self, schema, row) -> bool:
-        for name, constraint in self.path.items():
-            j = next(i for i, v in enumerate(schema) if v.name == name)
-            if isinstance(constraint, Interval):
-                if not constraint.contains(float(row[j])):
-                    return False
-            elif int(row[j]) not in constraint:
-                return False
-        return True
+
+class Tree(NamedTuple):
+    """A tree as node arrays, the layout of scikit-learn's ``Tree``. Node 0
+    is the root. Node i tests the schema variable ``feature[i]`` against
+    ``value[i]``: x <= the threshold for a numeric variable, x == the
+    domain index for a symbolic one. It goes to node ``left[i]`` if the
+    test holds and to ``right[i]`` otherwise. A leaf node has feature -1
+    and holds leaf ``leaf[i]``."""
+
+    feature: np.ndarray
+    value: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    leaf: np.ndarray
+
+    @staticmethod
+    def of(nodes) -> "Tree":
+        """The tree of the flat list of its ``(feature, value, left, right,
+        leaf)`` rows."""
+        a = np.array(nodes, dtype=float).reshape(-1, 5)
+        feature, left, right, leaf = a[:, [0, 2, 3, 4]].T.astype(np.intp)
+        return Tree(feature, a[:, 1].copy(), left, right, leaf)
 
 
-@dataclass
 class TreeModel:
-    """Learnt tree with its leaves; immutable after construction. ``table``
-    is the leaf table that queries read, packed from the leaves."""
+    """A learnt tree with its leaves; immutable after construction. ``tree``
+    holds the nodes as arrays and ``table`` the leaves packed, which
+    queries read; ``root`` and ``leaves`` are object views of both, built
+    when first read."""
 
-    schema: tuple[Variable, ...]
-    root: "DecisionNode | Leaf"
-    leaves: list[Leaf]
-    config: "LearnerConfig"
+    def __init__(self, schema, root, leaves, config: "LearnerConfig"):
+        """The model of a hand-built tree: its root DecisionNode (or Leaf)
+        and its leaves by index. The leaves' paths come from the tree."""
+        index = {var.name: j for j, var in enumerate(schema)}
+        tree = grow(root, lambda node: node.index if isinstance(node, Leaf) else (
+            index[node.criterion.variable.name], node.criterion.value, node.left, node.right))
+        self.schema, self.tree, self.config = tuple(schema), tree, config
+        self.table = _table(schema, tree, leaves)
+
+    @classmethod
+    def of(cls, schema, tree: Tree, table: LeafTable, config: "LearnerConfig") -> "TreeModel":
+        """The model of node arrays and their leaf table."""
+        model = cls.__new__(cls)
+        model.schema, model.tree, model.table, model.config = tuple(schema), tree, table, config
+        return model
+
+    def criterion(self, i: int) -> SplitCriterion:
+        """The test of split node ``i``."""
+        var, v = self.schema[self.tree.feature[i]], float(self.tree.value[i])
+        return (SplitCriterion(var, THRESHOLD, threshold=v) if var.numeric
+                else SplitCriterion(var, EQUALS, value_index=int(v)))
+
+    @cached_property
+    def leaves(self) -> list[Leaf]:
+        t = self.table
+        columns = [packed_histograms(var, t.store[var.name]) if var.symbolic
+                   else packed_cdfs(*t.store[var.name]) for var in self.schema]
+        names = [var.name for var in self.schema]
+        return [Leaf(k, prior, dict(zip(names, dists)), path, count)
+                for k, (prior, count, path, *dists) in enumerate(
+                    zip(t.prior.tolist(), t.sample_count.tolist(), t.paths(), *columns))]
+
+    @cached_property
+    def root(self) -> "DecisionNode | Leaf":
+        t, leaves = self.tree, self.leaves
+        nodes = [leaves[k] if f < 0 else DecisionNode(self.criterion(i), None, None)
+                 for i, (f, k) in enumerate(zip(t.feature.tolist(), t.leaf.tolist()))]
+        for node, left, right in zip(nodes, t.left.tolist(), t.right.tolist()):
+            if isinstance(node, DecisionNode):
+                node.left, node.right = nodes[left], nodes[right]
+        return nodes[0]
+
+    def route(self, values: np.ndarray) -> np.ndarray:
+        """Index in ``leaves`` of the leaf each row of ``values`` reaches: the
+        rows not at a leaf yet step down one level of the node arrays at once."""
+        t = self.tree
+        numeric = np.array([var.numeric for var in self.schema])
+        node, rows = np.zeros(len(values), dtype=np.intp), np.arange(len(values))
+        while rows.size:
+            at = node[rows]
+            f = t.feature[at]
+            inner = f >= 0
+            rows, at, f = rows[inner], at[inner], f[inner]
+            x, v = values[rows, f], t.value[at]
+            node[rows] = np.where(np.where(numeric[f], x <= v, x == v), t.left[at], t.right[at])
+        return t.leaf[node]
 
     def descend(self, row) -> Leaf:
-        node = self.root
-        while isinstance(node, DecisionNode):
-            j = self._index[node.criterion.variable.name]
-            node = node.left if node.criterion.matches(float(row[j])) else node.right
-        return node
-
-    def __post_init__(self):
-        self._index = {v.name: j for j, v in enumerate(self.schema)}
-        self.table = LeafTable(self.schema, self.leaves)
+        t, i = self.tree, 0
+        while t.feature[i] >= 0:
+            x, v = float(row[t.feature[i]]), t.value[i]
+            test = x <= v if self.schema[t.feature[i]].numeric else x == v
+            i = t.left[i] if test else t.right[i]
+        return self.leaves[t.leaf[i]]
 
     def variable(self, name: str) -> Variable:
         for v in self.schema:
@@ -104,8 +174,27 @@ class TreeModel:
         raise DataError(f"unknown variable {name!r}")
 
     def parameter_count(self) -> int:
-        return sum(d.parameter_count() for leaf in self.leaves
-                   for d in leaf.distributions.values())
+        """The hinges and histogram cells of all leaves."""
+        return sum(len(p[0]) if isinstance(p, tuple) else p.size
+                   for p in self.table.store.values())
+
+
+def _table(schema, tree: Tree, leaves) -> LeafTable:
+    """The leaf table of ``tree``, with its Leaf objects' distributions packed:
+    a numeric variable's hinges as ``(x, F, first, last)``, a symbolic one's
+    histograms as a [leaf, k] table."""
+    store = {}
+    for var in schema:
+        column = [leaf.distributions[var.name] for leaf in leaves]
+        if var.symbolic:
+            store[var.name] = np.array([m.p for m in column], dtype=float)
+            continue
+        sizes = np.array([len(c.x) for c in column], dtype=np.intp)
+        last = np.cumsum(sizes) - 1
+        store[var.name] = (np.concatenate([c.x for c in column]),
+                           np.concatenate([c.F for c in column]), last - sizes + 1, last)
+    return LeafTable([leaf.prior for leaf in leaves], [leaf.sample_count for leaf in leaves],
+                     store, regions(schema, tree, len(leaves))[0])
 
 
 @dataclass(frozen=True)
@@ -324,17 +413,17 @@ def _best_numeric_split(scope: _Scope, j: int, min_weight: float):
                                                  threshold=threshold)
 
 
-def _best_symbolic_split(scope: _Scope, j: int, path: Assignment, min_weight: float):
+def _best_symbolic_split(scope: _Scope, j: int, min_weight: float):
     """``(improvement, criterion)`` of the best one-vs-rest value for symbolic
-    variable ``j`` among the values still admissible on ``path``, or None."""
+    variable ``j``, or None. A value that the node's path excludes has no
+    rows, so ``min_weight`` (at least 1) rules it out."""
     k = len(scope.schema[j].domain)
     by_value = scope.grouped(scope.values[:, j].astype(np.intp), k)
     # each value's rest is the sum of the other values' groups rather than
     # the node minus the value, so two values that split the rows alike tie
     # exactly and the lower index wins
     rest = by_value.map(lambda a: (1.0 - np.eye(k)) @ a)
-    values = np.array(sorted(path.get(scope.schema[j].name, range(k))), dtype=np.intp)
-    values = values[(by_value.w[values] >= min_weight) & (rest.w[values] >= min_weight)]
+    values = np.flatnonzero((by_value.w >= min_weight) & (rest.w >= min_weight))
     if values.size == 0:
         return None
     improvement = scope.score(by_value.map(lambda a: a[values]),
@@ -347,45 +436,23 @@ def _best_symbolic_split(scope: _Scope, j: int, path: Assignment, min_weight: fl
 # -- tree construction -------------------------------------------------------
 
 
-def child_paths(path: Assignment, crit: SplitCriterion):
-    """Path constraints of the two children of a node on ``path`` split by
-    ``crit``. A symbolic constraint is the set of values still admissible.
-
-    A child region may come out empty (an interval with ``empty`` set, or
-    an empty value set); a learnt tree never has one.
-    """
-    var = crit.variable
-    if crit.kind == THRESHOLD:
-        prev = path.get(var.name, Interval(-math.inf, math.inf, True, True))
-        left = prev.intersect(Interval(-math.inf, crit.threshold, lower_open=True))
-        right = prev.intersect(
-            Interval(crit.threshold, math.inf, lower_open=True, upper_open=True))
-    else:
-        prev = path.get(var.name, frozenset(range(len(var.domain))))
-        left = prev & frozenset([crit.value_index])
-        right = prev - left
-    return {**path, var.name: left}, {**path, var.name: right}
-
-
-def grow(root, split) -> "DecisionNode | Leaf":
+def grow(root, split) -> Tree:
     """Build a tree top-down from the item ``root``, depth-first, left child
-    first: ``split(item, path)`` returns a Leaf, or ``(criterion, left_item,
-    right_item)``, for the node ``item`` with region ``path``. The builder
-    gives each child its path by ``child_paths`` and sets each leaf's."""
-    top = DecisionNode(None, None, None)  # its left slot receives the root
-    stack = [(root, {}, top, "left")]
+    first, with nodes numbered in that order: ``split(item)`` returns a leaf
+    index, or ``(feature, value, left_item, right_item)``, for the node
+    ``item``."""
+    nodes, stack = [], [(root, None)]  # (item, where its number goes in nodes)
     while stack:
-        item, path, parent, side = stack.pop()
-        node = split(item, path)
-        if isinstance(node, Leaf):
-            node.path = path
+        item, slot = stack.pop()
+        if slot is not None:
+            nodes[slot] = len(nodes) // 5
+        node = split(item)
+        if isinstance(node, tuple):
+            stack += (node[3], len(nodes) + 3), (node[2], len(nodes) + 2)
+            nodes += node[0], node[1], -1, -1, -1
         else:
-            crit, left, right = node
-            lp, rp = child_paths(path, crit)
-            node = DecisionNode(crit, None, None)
-            stack += (right, rp, node, "right"), (left, lp, node, "left")
-        setattr(parent, side, node)
-    return top.left
+            nodes += -1, 0.0, -1, -1, node
+    return Tree.of(nodes)
 
 
 def learn(data: Dataset, config: LearnerConfig | None = None) -> TreeModel:
@@ -421,7 +488,7 @@ def learn(data: Dataset, config: LearnerConfig | None = None) -> TreeModel:
 
     leaves: list[Leaf] = []
 
-    def make_leaf(values: np.ndarray, weights: np.ndarray) -> Leaf:
+    def make_leaf(values: np.ndarray, weights: np.ndarray) -> int:
         dists = {}
         for j, var in enumerate(schema):
             col = values[:, j]
@@ -432,12 +499,11 @@ def learn(data: Dataset, config: LearnerConfig | None = None) -> TreeModel:
             else:
                 points = build_quantile_dataset(col, weights)
                 dists[var.name] = cdf_learn(points, config.epsilon)
-        leaf = Leaf(index=len(leaves), prior=float(weights.sum()) / total_weight,
-                    distributions=dists, path={}, sample_count=float(weights.sum()))
-        leaves.append(leaf)
-        return leaf
+        leaves.append(Leaf(index=len(leaves), prior=float(weights.sum()) / total_weight,
+                           distributions=dists, path={}, sample_count=float(weights.sum())))
+        return len(leaves) - 1
 
-    def split(item, path: Assignment):
+    def split(item):
         rows, depth = item
         values = data.values[rows]
         weights = data.weights[rows]
@@ -452,7 +518,7 @@ def learn(data: Dataset, config: LearnerConfig | None = None) -> TreeModel:
         for j in candidate_idx:
             var = schema[j]
             found = (_best_numeric_split(scope, j, min_weight) if var.numeric
-                     else _best_symbolic_split(scope, j, path, min_weight))
+                     else _best_symbolic_split(scope, j, min_weight))
             if found is not None and (best is None or found[0] > best[0]):
                 best = (*found, j)
 
@@ -461,7 +527,7 @@ def learn(data: Dataset, config: LearnerConfig | None = None) -> TreeModel:
 
         _, crit, j = best
         left_mask = crit.matches(values[:, j])
-        return crit, (rows[left_mask], depth + 1), (rows[~left_mask], depth + 1)
+        return j, crit.value, (rows[left_mask], depth + 1), (rows[~left_mask], depth + 1)
 
-    root = grow((np.arange(len(data)), 0), split)
-    return TreeModel(schema=schema, root=root, leaves=leaves, config=config)
+    tree = grow((np.arange(len(data)), 0), split)
+    return TreeModel.of(schema, tree, _table(schema, tree, leaves), config)

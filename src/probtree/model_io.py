@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 
-from .data import Interval, Variable, is_number
-from .learner import (EQUALS, THRESHOLD, DecisionNode, Leaf, LearnerConfig,
-                      SplitCriterion, TreeModel, grow)
+import numpy as np
+
+from .data import Variable, is_number
+from .leaftable import LeafTable, regions
+from .learner import LearnerConfig, Tree, TreeModel
 from .multinomial import histograms_from_json
 from .plcdf import ColumnError, DistributionError, cdfs_from_json
 
@@ -18,36 +21,25 @@ class ModelFormatError(ValueError):
     """Raised when a model file is malformed or violates model invariants."""
 
 
-def _preorder(root) -> list:
-    """The nodes under ``root`` in preorder, left first, with their model-file entries."""
-    out, stack = [], [(root, {}, "root")]  # (node, parent's entry, the node's key there)
-    while stack:
-        node, parent, key = stack.pop()
-        parent[key] = len(out)
-        if isinstance(node, Leaf):
-            out.append((node, {"type": "leaf", "leaf": node.index}))
-            continue
-        crit = node.criterion
-        entry = {"type": "split", "var": crit.variable.name,
-                 "op": "le" if crit.kind == THRESHOLD else "eq",
-                 "value": (crit.threshold if crit.kind == THRESHOLD
-                           else crit.variable.domain[crit.value_index])}
-        out.append((node, entry))
-        stack += (node.right, entry, "right"), (node.left, entry, "left")
-    return out
-
-
 def dumps(model: TreeModel) -> str:
+    """The model as a document; its nodes keep the order of the node
+    arrays, which is preorder for a learnt or hand-built tree."""
+    nodes = []
+    for f, value, left, right, k in zip(*(a.tolist() for a in model.tree)):
+        var = model.schema[f]
+        nodes.append({"type": "leaf", "leaf": k} if f < 0 else
+                     {"type": "split", "var": var.name, "op": "le" if var.numeric else "eq",
+                      "value": value if var.numeric else var.domain[int(value)],
+                      "left": left, "right": right})
     doc = {
         "version": FORMAT_VERSION,
         "schema": [v.to_json() for v in model.schema],
         "config": model.config.to_json(),
-        "nodes": [entry for _, entry in _preorder(model.root)],
+        "nodes": nodes,
         "leaves": [{
             "prior": leaf.prior,
             "sample_count": leaf.sample_count,
-            "distributions": {name: d.to_json()
-                              for name, d in leaf.distributions.items()},
+            "distributions": {name: d.to_json() for name, d in leaf.distributions.items()},
         } for leaf in model.leaves],
     }
     return json.dumps(doc, separators=(",", ":"))
@@ -63,6 +55,18 @@ def loads(text: str) -> TreeModel:
     positive priors summing to 1, positive sample counts, valid
     distributions, and nodes forming a tree of non-empty regions that
     reaches every leaf exactly once."""
+    # the document is tens of thousands of lists and dicts, none of them
+    # garbage: the collector would scan them again and again
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _loads(text)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _loads(text: str) -> TreeModel:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -86,7 +90,7 @@ def loads(text: str) -> TreeModel:
     except (AttributeError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"config: {exc}") from None
 
-    leaves, columns = [], {name: [] for name in by_name}
+    prior, count, columns = [], [], {name: [] for name in by_name}
     try:
         for k, entry in enumerate(doc["leaves"]):
             if not isinstance(entry["distributions"], dict):
@@ -98,75 +102,89 @@ def loads(text: str) -> TreeModel:
             missing = set(by_name) - set(entry["distributions"])
             if missing:
                 raise ModelFormatError(f"leaves[{k}]: missing distributions for {sorted(missing)}")
-            prior, count = _json_float(entry["prior"]), _json_float(entry["sample_count"])
-            if not (0 < prior < math.inf and 0 < count < math.inf):
+            p, c = _json_float(entry["prior"]), _json_float(entry["sample_count"])
+            if not (0 < p < math.inf and 0 < c < math.inf):
                 raise ModelFormatError(f"leaves[{k}]: prior and sample_count must be "
                                        f"finite and positive")
-            # the distributions keep the document's key order; the columns fill them
-            leaves.append(Leaf(index=k, prior=prior,
-                               distributions=dict.fromkeys(entry["distributions"]),
-                               path={}, sample_count=count))
+            prior.append(p)
+            count.append(c)
     except ModelFormatError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"leaves: {exc}") from None
 
-    total_prior = sum(leaf.prior for leaf in leaves)
-    if not leaves or abs(total_prior - 1.0) > 1e-9:
+    total_prior = sum(prior)
+    if not prior or abs(total_prior - 1.0) > 1e-9:
         raise ModelFormatError(f"leaves: priors must be positive and sum to 1, got {total_prior}")
 
+    store = {}
     for var in schema:
         try:
-            dists = (histograms_from_json(var, columns[var.name]) if var.symbolic
-                     else cdfs_from_json(columns[var.name]))
+            store[var.name] = (histograms_from_json(var, columns[var.name]) if var.symbolic
+                               else cdfs_from_json(columns[var.name]))
         except ColumnError as exc:
             raise ModelFormatError(f"leaves[{exc.entry}].{var.name}: {exc}") from None
         except DistributionError as exc:
             raise ModelFormatError(f"leaves: {var.name}: {exc}") from None
-        for leaf, dist in zip(leaves, dists):
-            leaf.distributions[var.name] = dist
 
-    nodes = doc.get("nodes")
+    tree = _nodes(doc.get("nodes"), schema, len(prior))
+    # the root, and every child, has one parent: the walk from the root ends
+    parents = np.bincount(np.concatenate([[0], tree.left, tree.right]) + 1)[1:]
+    if (parents > 1).any():
+        raise ModelFormatError(f"nodes[{(parents > 1).argmax()}]: out of range or reached twice")
+    region, leaf_nodes, empty = regions(schema, tree, len(prior))
+    if 2 * len(leaf_nodes) - 1 != len(tree.feature):
+        raise ModelFormatError("nodes: some entries are not reached from the root")
+    refs = np.bincount(tree.leaf[leaf_nodes], minlength=len(prior))
+    if refs.max() > 1:
+        k = refs.argmax()
+        i = np.sort(leaf_nodes[tree.leaf[leaf_nodes] == k])[1]
+        raise ModelFormatError(f"nodes[{i}]: leaf {k} out of range or referenced twice")
+    if refs.min() < 1:
+        raise ModelFormatError("nodes: tree does not reference every leaf exactly once")
+    if empty.size:
+        i = empty.min()
+        raise ModelFormatError(f"nodes[{i}]: leaf {tree.leaf[i]} has an empty region")
+    return TreeModel.of(schema, tree, LeafTable(prior, count, store, region), config)
+
+
+def _nodes(nodes, schema, n_leaves: int) -> Tree:
+    """The node arrays of a document's ``nodes`` list, each entry checked on
+    its own: a leaf in range, or a split that its variable can take whose
+    children are in range."""
     if not isinstance(nodes, list) or not nodes:
         raise ModelFormatError("nodes: missing or empty")
-
-    visited, seen_leaves = set(), set()
-
-    def split(idx, path: dict):
-        if not _is_index(idx, len(nodes)) or idx in visited:
-            raise ModelFormatError(f"nodes[{idx}]: out of range or reached twice")
-        visited.add(idx)
+    index = {var.name: j for j, var in enumerate(schema)}
+    numeric = [var.numeric for var in schema]
+    rows = []
+    for i, entry in enumerate(nodes):
         try:
-            entry = nodes[idx]
             if entry["type"] == "leaf":
                 k = entry["leaf"]
-                if not _is_index(k, len(leaves)) or k in seen_leaves:
-                    raise ModelFormatError(f"nodes[{idx}]: leaf {k!r} out of range or "
+                if not _is_index(k, n_leaves):
+                    raise ModelFormatError(f"nodes[{i}]: leaf {k!r} out of range or "
                                            f"referenced twice")
-                # a split with an empty child region empties every path below it
-                if any(not r or isinstance(r, Interval) and r.empty for r in path.values()):
-                    raise ModelFormatError(f"nodes[{idx}]: leaf {k} has an empty region")
-                seen_leaves.add(k)
-                return leaves[k]
-            var, op, value = by_name[entry["var"]], entry["op"], entry["value"]
-            threshold = _json_float(value)
-            if op == "le" and var.numeric and math.isfinite(threshold):
-                crit = SplitCriterion(var, THRESHOLD, threshold=threshold)
-            elif op == "eq" and var.symbolic:
-                crit = SplitCriterion(var, EQUALS, value_index=var.index_of(value))
+                rows += -1, 0.0, -1, -1, k
+                continue
+            j, op, value = index[entry["var"]], entry["op"], entry["value"]
+            if op == "le" and numeric[j] and math.isfinite(t := _json_float(value)):
+                pass
+            elif op == "eq" and not numeric[j]:
+                t = schema[j].index_of(value)
             else:
-                raise ModelFormatError(f"nodes[{idx}]: cannot split {var.kind} "
+                var = schema[j]
+                raise ModelFormatError(f"nodes[{i}]: cannot split {var.kind} "
                                        f"{var.name!r} by {op!r} {value!r}")
-            return crit, entry["left"], entry["right"]
+            left, right = entry["left"], entry["right"]
+            if not (_is_index(left, len(nodes)) and _is_index(right, len(nodes))):
+                child = right if _is_index(left, len(nodes)) else left
+                raise ModelFormatError(f"nodes[{child}]: out of range or reached twice")
+            rows += j, t, left, right, -1
         except ModelFormatError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
-            raise ModelFormatError(f"nodes[{idx}]: {exc}") from None
-
-    root = grow(0, split)
-    if len(seen_leaves) != len(leaves):
-        raise ModelFormatError("nodes: tree does not reference every leaf exactly once")
-    return TreeModel(schema=schema, root=root, leaves=leaves, config=config)
+            raise ModelFormatError(f"nodes[{i}]: {exc}") from None
+    return Tree.of(rows)
 
 
 def _json_float(value) -> float:
@@ -204,21 +222,23 @@ def export_dot(model: TreeModel) -> str:
     prior, sample count and a per-variable expectation/argmax summary.
     """
     lines = ["digraph tree {", "  node [shape=box];"]
-    for i, (node, entry) in enumerate(_preorder(model.root)):
-        if isinstance(node, DecisionNode):
-            lines.append(f'  n{i} [label="{_dot_escape(node.criterion.label())}"];')
-            lines.append(f'  n{i} -> n{entry["left"]} [label="true"];')
-            lines.append(f'  n{i} -> n{entry["right"]} [label="false"];')
+    tree = model.tree
+    for i, (left, right, k) in enumerate(zip(tree.left, tree.right, tree.leaf)):
+        if tree.feature[i] >= 0:
+            lines.append(f'  n{i} [label="{_dot_escape(model.criterion(i).label())}"];')
+            lines.append(f'  n{i} -> n{left} [label="true"];')
+            lines.append(f'  n{i} -> n{right} [label="false"];')
             continue
+        leaf = model.leaves[k]
         summary = []
         for var in model.schema:
-            d = node.distributions[var.name]
+            d = leaf.distributions[var.name]
             if var.symbolic:
                 summary.append(f"{var.name}: {var.domain[d.argmax()]}")
             else:
                 summary.append(f"{var.name}: {d.expectation():.4g}")
-        label = (f"leaf {node.index}\\nprior {node.prior:.4g}"
-                 f"\\nsamples {node.sample_count:g}\\n" + "\\n".join(summary))
+        label = (f"leaf {leaf.index}\\nprior {leaf.prior:.4g}"
+                 f"\\nsamples {leaf.sample_count:g}\\n" + "\\n".join(summary))
         lines.append(f'  n{i} [label="{_dot_escape(label)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -96,7 +96,7 @@ class Multinomial:
 
     @staticmethod
     def from_json(variable: Variable, obj: dict) -> "Multinomial":
-        return histograms_from_json(variable, [obj])[0]
+        return Multinomial(variable, histograms_from_json(variable, [obj])[0])
 
     def __eq__(self, other):
         return (isinstance(other, Multinomial)
@@ -132,13 +132,13 @@ def _improper(p: np.ndarray) -> np.ndarray:
     return ~(((p >= 0.0) & (p <= 1.0)).all(axis=1) & (abs(p.sum(axis=1) - 1.0) <= 1e-9))
 
 
-def histograms_from_json(variable: Variable, objs) -> list[Multinomial]:
+def histograms_from_json(variable: Variable, objs) -> np.ndarray:
     """Leaf histograms of the symbolic ``variable`` from a column of their
     JSON objects ``{"domain": [...], "p": [...]}``.
 
-    The probabilities are packed into one [leaf, k] table and checked at
-    once, and each histogram's ``p`` is a read-only row view of it. Any
-    fault raises ColumnError naming the first entry that has one.
+    The probabilities are packed into one read-only [leaf, k] table and
+    checked at once. Any fault raises ColumnError naming the first entry
+    that has one.
     """
     domain = list(variable.domain)
     rows = []
@@ -158,6 +158,12 @@ def histograms_from_json(variable: Variable, objs) -> list[Multinomial]:
     if bad.any():
         raise ColumnError(int(bad.argmax()), _IMPROPER)
     p.setflags(write=False)
+    return p
+
+
+def packed_histograms(variable: Variable, p) -> list[Multinomial]:
+    """The histograms of the rows of a [leaf, k] table, each with a
+    read-only row view of it."""
     out = []
     for row in p:
         m = Multinomial.__new__(Multinomial)

@@ -306,13 +306,14 @@ def _hinge_fault(h, first, last, strict: bool = False):
     return i, _HINGE_RULES[rule]
 
 
-def cdfs_from_json(objs) -> list[PiecewiseLinearCDF]:
+def cdfs_from_json(objs):
     """Leaf numeric distributions, which have no steps, from a column of
     their JSON objects: ``{"hinges": [[x, F], ...]}``, or ``{"dirac": v}``
     for the one hinge ``[v, 1]``.
 
-    All hinges are packed into one table and checked at once, and each CDF
-    gets read-only views ``x[a:b]`` and ``F[a:b]`` of it. Any fault raises
+    All hinges are packed into one table and checked at once, and returned
+    as ``(x, F, first, last)``: entry i's hinges are rows ``first[i]`` to
+    ``last[i]`` of the read-only arrays x and F. Any fault raises
     ColumnError naming the first entry that has one.
     """
     rows, sizes = [], []
@@ -335,18 +336,40 @@ def cdfs_from_json(objs) -> list[PiecewiseLinearCDF]:
             raise ColumnError(k, f"unrecognized numeric distribution encoding: {sorted(obj)}")
     last = np.cumsum(sizes) - 1
     first = last - sizes + 1
-    h = _hinge_table(rows)
+    h = _number_pairs(rows)
     if h is None:
         for k, (a, b) in enumerate(zip(first, last + 1)):
-            if _hinge_table(rows[a:b]) is None:
+            if _number_pairs(rows[a:b]) is None:
                 raise ColumnError(k, "need (x, F) hinges of numbers")
-        raise DistributionError("need (x, F) hinges of numbers")
     fault = _hinge_fault(h, first, last, strict=True)
     if fault:
         raise ColumnError(*fault)
     xF = h.T.copy()
     xF.setflags(write=False)
-    x, F = xF
+    return xF[0], xF[1], first, last
+
+
+def _number_pairs(rows):
+    """JSON ``rows`` as a float array of (x, F) rows, or None unless each is
+    a pair of numbers (a string or a boolean is not a number) in the float
+    range."""
+    try:
+        if set(map(len, rows)) - {2}:
+            return None
+    except TypeError:  # a row without a length
+        return None
+    flat = list(chain.from_iterable(rows))
+    if not set(map(type, flat)) <= {int, float}:
+        return None
+    try:
+        return np.array(flat, dtype=float).reshape(-1, 2)
+    except OverflowError:
+        return None
+
+
+def packed_cdfs(x, F, first, last) -> list[PiecewiseLinearCDF]:
+    """The step-free CDFs of packed hinges, each with read-only views
+    ``x[a:b]`` and ``F[a:b]`` of the arrays."""
     out = []
     for a, b in zip(first.tolist(), (last + 1).tolist()):
         d = PiecewiseLinearCDF.__new__(PiecewiseLinearCDF)

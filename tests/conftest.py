@@ -3,7 +3,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from probtree import Dataset, LearnerConfig, Variable, ingest_csv, learn
+from probtree import Dataset, Interval, LearnerConfig, Variable, ingest_csv, learn
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -65,3 +65,16 @@ def random_plf(rng, max_hinges=12, zero_start=True):
     F[-1] = 1.0
     from probtree import PiecewiseLinearCDF
     return PiecewiseLinearCDF(np.column_stack([x, F]))
+
+
+def accepts_row(leaf, schema, row) -> bool:
+    """Whether ``row`` meets every constraint of the leaf's path: the
+    partition oracle, independent of the node arrays that route rows."""
+    for name, constraint in leaf.path.items():
+        j = next(i for i, v in enumerate(schema) if v.name == name)
+        if isinstance(constraint, Interval):
+            if not constraint.contains(float(row[j])):
+                return False
+        elif int(row[j]) not in constraint:
+            return False
+    return True

@@ -19,7 +19,7 @@ from probtree.experiments import (run_cdf_fit_experiment,
                                   run_likelihood_sweep,
                                   run_regression_experiment)
 
-from conftest import random_discrete_dataset, random_plf
+from conftest import accepts_row, random_discrete_dataset, random_plf
 
 
 def report(capsys, num: int, title: str, passed: bool, detail: str):
@@ -264,7 +264,7 @@ def test_criterion_8_partition_property(capsys, iris):
         model = learn(ds, cfg)
         for row in ds.values:
             accepting = [l.index for l in model.leaves
-                         if l.accepts_row(model.schema, row)]
+                         if accepts_row(l, model.schema, row)]
             ok &= len(accepting) == 1 and model.descend(row).index == accepting[0]
             rows += 1
     report(capsys, 8, "partition property", ok,

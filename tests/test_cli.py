@@ -374,3 +374,65 @@ def test_query_constraints_never_end_in_a_traceback(fuzz_model, mode, q, e, targ
     assert (code == 0) == (err.getvalue() == ""), (argv, err.getvalue())
     if code == 0:
         json.loads(out.getvalue())
+
+
+# -- CSV ingest under fuzzing ---------------------------------------------------
+
+CELLS = st.one_of(st.floats(-1e3, 1e3).map(repr), st.integers(-3, 3).map(str),
+                  st.sampled_from(["nan", "-inf", "inf", "1e999", "NaN", "x", "y", "", " ",
+                                   " 1 ", "1,5", '"', '""', "a\nb", "\x00", "\ufeff", "1_0"]),
+                  st.text(max_size=4))
+HEADER = st.lists(st.sampled_from(["a", "b", "c", "", " a", "a"]), max_size=4)
+ROWS = st.lists(st.lists(CELLS, max_size=4), max_size=8)
+
+
+def csv_text(header, rows, quoted: bool) -> str:
+    """``header`` and ``rows`` as CSV, each cell quoted as needed or
+    written raw, so that a quote or comma in a cell can break the row."""
+    if not quoted:
+        return "".join(",".join(row) + "\n" for row in [header] + rows)
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header] + rows)
+    return buf.getvalue()
+
+
+@pytest.fixture(scope="module")
+def csv_model(tmp_path_factory):
+    """A model over a numeric column a and a symbolic column b."""
+    folder = tmp_path_factory.mktemp("csv")
+    data = folder / "train.csv"
+    data.write_text("a,b\n" + "".join(f"{i / 3!r},{'xy'[i % 2]}\n" for i in range(12)))
+    assert main(["train", "--data", str(data), "--out", str(folder / "model.json"),
+                 "--min-samples-leaf", "3"]) == 0
+    return folder / "model.json"
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(header=HEADER, rows=ROWS, quoted=st.booleans(),
+       tail=st.sampled_from([b"", b"\xff", b"\xc3"]))
+def test_csv_ingest_never_ends_in_a_traceback(csv_model, tmp_path_factory, header, rows,
+                                              quoted, tail):
+    """``train`` and ``likelihood`` exit 0, or 1 with an error line, on any
+    file; a byte-order mark in front changes nothing."""
+    folder = tmp_path_factory.mktemp("fuzz")
+    body = csv_text(header, rows, quoted).encode() + tail
+    results = []
+    for prefix in (b"", "\ufeff".encode()):
+        data = folder / "data.csv"
+        data.write_bytes(prefix + body)
+        for argv in (["train", "--data", str(data), "--out", str(folder / "m.json"),
+                      "--min-samples-leaf", "1"],
+                     ["likelihood", "--model", str(csv_model), "--data", str(data), "--json"]):
+            code, out, err = run_cli(argv)
+            assert code in (0, 1), (argv, err)
+            assert (code == 0) == (err == "") and "Traceback" not in err, (argv, err)
+            assert code == 0 or err.startswith("error: "), err
+            results.append((code, out))
+    assert results[:2] == results[2:]

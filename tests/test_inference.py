@@ -11,7 +11,7 @@ from probtree import (AssignmentError, DataError, Dataset, DecisionNode, Dirac,
                       ingest_csv, leaf_posterior, learn, log_likelihood,
                       make_assignment, mpe, posterior_distributions, sample)
 from probtree.inference import _merge_numeric
-from probtree.learner import EQUALS, THRESHOLD, grow
+from probtree.learner import EQUALS, THRESHOLD
 
 
 def uniform_mixture_model():
@@ -526,7 +526,8 @@ def hinge_model():
 def random_chain_model(rng, depth):
     """A chain of ``depth`` random decision nodes over numeric x, y and
     symbolic c, each with a leaf on a random side. Leaves hold random PLFs
-    or Diracs at integers, and histograms of c with zeros."""
+    or Diracs at integers, and histograms of c with zeros, which need not
+    lie inside their paths."""
     schema = (Variable("x", "numeric"), Variable("y", "numeric"),
               Variable("c", "symbolic", ("a", "b", "c", "d")))
     priors = rng.dirichlet(np.ones(depth + 1))
@@ -887,7 +888,7 @@ def assert_matches_the_reference(model, e):
 
 def threshold_model():
     """x <= 2 ? (c = a ? leaf 0 : leaf 1) : (y <= 0 ? leaf 2 : leaf 3), with
-    paths from the tree builder. Leaf 0's x has an atom at its first hinge
+    paths from the tree. Leaf 0's x has an atom at its first hinge
     and its last hinge on the threshold 2; leaf 1's x is the point mass at 2;
     leaf 2's y ends on the threshold 0, where leaf 3's open region starts;
     leaf 3's y is a point mass."""
@@ -907,10 +908,9 @@ def threshold_model():
         leaf(3, 0.25, PiecewiseLinearCDF([[3, 0], [3.5, 0.5], [6, 1]]), Dirac(0.5),
              [0.5, 0.5, 0.0]),
     ]
-    spec = (SplitCriterion(x, THRESHOLD, threshold=2.0),
-            (SplitCriterion(c, EQUALS, value_index=0), leaves[0], leaves[1]),
-            (SplitCriterion(y, THRESHOLD, threshold=0.0), leaves[2], leaves[3]))
-    root = grow(spec, lambda item, path: item)
+    root = DecisionNode(SplitCriterion(x, THRESHOLD, threshold=2.0),
+                        DecisionNode(SplitCriterion(c, EQUALS, value_index=0), *leaves[:2]),
+                        DecisionNode(SplitCriterion(y, THRESHOLD, threshold=0.0), *leaves[2:]))
     return TreeModel((x, y, c), root, leaves, LearnerConfig())
 
 
@@ -985,7 +985,8 @@ class TestMatchesThePerLeafLoop:
             assert got.tobytes() == want.tobytes(), e
             unpruned = leaf_posterior(model, e, prune=False)
             assert unpruned.tobytes() == reference_leaf_posterior(model, e, False).tobytes()
-            assert unpruned.tobytes() == got.tobytes(), e
+            if name != "chain":  # the chain's leaves hold mass outside their paths
+                assert unpruned.tobytes() == got.tobytes(), e
             assert (event_probability(model, q, e).hex()
                     == reference_event_probability(model, q, e).hex()), (q, e)
             if answered % 3 == 0:

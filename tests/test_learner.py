@@ -9,7 +9,7 @@ from probtree import (DataError, Dataset, DecisionNode, Dirac, Interval, Leaf, L
 from probtree.learner import (EQUALS, THRESHOLD, _best_numeric_split,
                               _best_symbolic_split, _Scope)
 
-from conftest import random_discrete_dataset
+from conftest import accepts_row, random_discrete_dataset
 
 
 def two_symbol_dataset():
@@ -139,7 +139,7 @@ class TestScorerReference:
         scope = _Scope(ds.schema, everything, ds.values, ds.weights)
         for j, var in enumerate(ds.schema):
             found = (_best_numeric_split(scope, j, 2.0) if var.numeric else
-                     _best_symbolic_split(scope, j, {}, 2.0))
+                     _best_symbolic_split(scope, j, 2.0))
             if found is None:
                 continue
             imp, crit = found
@@ -318,7 +318,7 @@ class TestPartition:
         counts = np.zeros(len(model.leaves))
         for row in ds.values:
             accepting = [l.index for l in model.leaves
-                         if l.accepts_row(model.schema, row)]
+                         if accepts_row(l, model.schema, row)]
             assert len(accepting) == 1
             leaf = model.descend(row)
             assert leaf.index == accepting[0]

@@ -221,6 +221,10 @@ MALFORMED = {
     "nested-threshold-empty-region": _nested_threshold,
     # s = a below the branch where s != a: the left child is empty
     "excluded-value-empty-region": lambda d: d["nodes"][2].update(op="eq", var="s", value="a"),
+    # an entry that the root does not reach would be lost by dumps
+    "unreached-leaf-entry": lambda d: d["nodes"].append({"type": "leaf", "leaf": 0}),
+    "unreached-split-entry": lambda d: d["nodes"].append(
+        {"type": "split", "var": "x", "op": "le", "value": 3.0, "left": 3, "right": 4}),
     "nan-config": lambda d: d["config"].update(epsilon=float("nan"),
                                                min_impurity_improvement=float("nan")),
     "dirac-and-hinges": lambda d: d["leaves"][0]["distributions"]["x"].update(

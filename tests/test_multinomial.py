@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probtree import DistributionError, Multinomial, Variable
-from probtree.multinomial import histograms_from_json
+from probtree.multinomial import histograms_from_json, packed_histograms
 from probtree.plcdf import ColumnError
 
 COLOR = Variable("color", "symbolic", ("Blue", "Green", "Red"))
@@ -137,7 +137,11 @@ class TestJson:
 
     def test_column_rows_are_read_only_views(self):
         rows = [[0.5, 0.3, 0.2], [0.0, 0.0, 1.0]]
-        hists = histograms_from_json(COLOR, [{"domain": list(COLOR.domain), "p": p} for p in rows])
+        table = histograms_from_json(COLOR, [{"domain": list(COLOR.domain), "p": p}
+                                             for p in rows])
+        assert table.tolist() == rows
+        hists = packed_histograms(COLOR, table)
         assert hists == [Multinomial(COLOR, p) for p in rows]
-        with pytest.raises(ValueError):
-            hists[1].p[0] = 1.0
+        for a in (table, hists[1].p):
+            with pytest.raises(ValueError):
+                a[0] = 1.0

@@ -10,7 +10,7 @@ from probtree import (Dirac, DistributionError, LearnerConfig,
                       PiecewiseLinearCDF, build_quantile_dataset, cdf_learn,
                       learn)
 
-from probtree.plcdf import ColumnError, cdfs_from_json
+from probtree.plcdf import ColumnError, cdfs_from_json, packed_cdfs
 
 from conftest import random_plf
 
@@ -478,7 +478,7 @@ class TestPackedColumn:
                 break
         column = [{"hinges": [list(h) for h in hinges]} for hinges in entries]
         try:
-            cdfs = cdfs_from_json(column)
+            cdfs = packed_cdfs(*cdfs_from_json(column))
         except ColumnError as exc:
             assert (exc.entry, str(exc)) == expected
         else:
@@ -504,8 +504,12 @@ class TestPackedColumn:
                 PiecewiseLinearCDF(hinges)
 
     def test_dirac_is_the_one_hinge_entry(self):
-        cdfs = cdfs_from_json([{"dirac": 2}, {"hinges": [[0, 0.5], [1, 1]]}, {"dirac": 3.5}])
-        assert cdfs == [Dirac(2.0), PiecewiseLinearCDF([[0, 0.5], [1, 1]]), Dirac(3.5)]
+        x, F, first, last = cdfs_from_json(
+            [{"dirac": 2}, {"hinges": [[0, 0.5], [1, 1]]}, {"dirac": 3.5}])
+        assert (x.tolist(), F.tolist()) == ([2.0, 0.0, 1.0, 3.5], [1.0, 0.5, 1.0, 1.0])
+        assert (first.tolist(), last.tolist()) == ([0, 1, 3], [0, 2, 3])
+        assert packed_cdfs(x, F, first, last) == [
+            Dirac(2.0), PiecewiseLinearCDF([[0, 0.5], [1, 1]]), Dirac(3.5)]
 
     @pytest.mark.parametrize("entry", [
         "zzz", {}, {"dirac": 1.0, "hinges": [[1.0, 1.0]]}, {"dirac": "1"}, {"dirac": [1, 2]},
