@@ -147,7 +147,7 @@ def _cmd_train(args) -> int:
     model = learn(data, config)
     save(model, args.out)
     avg, zero = log_likelihood(model, data)
-    print(f"leaves: {len(model.leaves)}")
+    print(f"leaves: {len(model.table.prior)}")
     print(f"model size: {model.parameter_count()} parameters")
     print(f"train avg log-likelihood: {avg:.6g} (zero fraction {zero:.4g})")
     return EXIT_OK

@@ -142,8 +142,8 @@ def run_regression_experiment(n: int = 1000, noise_sigma: float = 1.0,
             "fraction": frac,
             "jpt_mae": float(np.mean(np.abs(jpt_pred - yt))),
             "cart_mae": float(np.mean(np.abs(cart_pred - yt))),
-            "jpt_leaves": len(gen.leaves),
-            "cart_leaves": len(cart.leaves),
+            "jpt_leaves": len(gen.table.prior),
+            "cart_leaves": len(cart.table.prior),
         })
     return report
 
@@ -168,7 +168,7 @@ def run_likelihood_sweep(data: Dataset, fractions=(0.9, 0.4, 0.2, 0.1),
         test_ll, test_zero = log_likelihood(model, test)
         report["rows"].append({
             "fraction": frac,
-            "leaves": len(model.leaves),
+            "leaves": len(model.table.prior),
             "model_size": model.parameter_count(),
             "train_loglik": train_ll,
             "train_zero_fraction": train_zero,

@@ -109,7 +109,10 @@ class TreeModel:
         tree = grow(root, lambda node: node.index if isinstance(node, Leaf) else (
             index[node.criterion.variable.name], node.criterion.value, node.left, node.right))
         self.schema, self.tree, self.config = tuple(schema), tree, config
-        self.table = _table(schema, tree, leaves)
+        self.table = _table(schema, tree, [leaf.prior for leaf in leaves],
+                            [leaf.sample_count for leaf in leaves],
+                            {var.name: [leaf.distributions[var.name] for leaf in leaves]
+                             for var in schema})
 
     @classmethod
     def of(cls, schema, tree: Tree, table: LeafTable, config: "LearnerConfig") -> "TreeModel":
@@ -160,12 +163,7 @@ class TreeModel:
         return t.leaf[node]
 
     def descend(self, row) -> Leaf:
-        t, i = self.tree, 0
-        while t.feature[i] >= 0:
-            x, v = float(row[t.feature[i]]), t.value[i]
-            test = x <= v if self.schema[t.feature[i]].numeric else x == v
-            i = t.left[i] if test else t.right[i]
-        return self.leaves[t.leaf[i]]
+        return self.leaves[int(self.route(np.asarray(row, dtype=float)[None])[0])]
 
     def variable(self, name: str) -> Variable:
         for v in self.schema:
@@ -179,13 +177,14 @@ class TreeModel:
                    for p in self.table.store.values())
 
 
-def _table(schema, tree: Tree, leaves) -> LeafTable:
-    """The leaf table of ``tree``, with its Leaf objects' distributions packed:
-    a numeric variable's hinges as ``(x, F, first, last)``, a symbolic one's
+def _table(schema, tree: Tree, prior, count, columns: dict) -> LeafTable:
+    """The leaf table of ``tree``: the leaves' priors and sample counts, and
+    their distributions, a list per variable name in ``columns``, packed: a
+    numeric variable's hinges as ``(x, F, first, last)``, a symbolic one's
     histograms as a [leaf, k] table."""
     store = {}
     for var in schema:
-        column = [leaf.distributions[var.name] for leaf in leaves]
+        column = columns[var.name]
         if var.symbolic:
             store[var.name] = np.array([m.p for m in column], dtype=float)
             continue
@@ -193,8 +192,7 @@ def _table(schema, tree: Tree, leaves) -> LeafTable:
         last = np.cumsum(sizes) - 1
         store[var.name] = (np.concatenate([c.x for c in column]),
                            np.concatenate([c.F for c in column]), last - sizes + 1, last)
-    return LeafTable([leaf.prior for leaf in leaves], [leaf.sample_count for leaf in leaves],
-                     store, regions(schema, tree, len(leaves))[0])
+    return LeafTable(prior, count, store, regions(schema, tree, len(prior))[0])
 
 
 @dataclass(frozen=True)
@@ -486,22 +484,18 @@ def learn(data: Dataset, config: LearnerConfig | None = None) -> TreeModel:
     if total_weight < min_weight:
         raise DataError("dataset is smaller than one minimum-size leaf")
 
-    leaves: list[Leaf] = []
+    prior, count, columns = [], [], {var.name: [] for var in schema}
 
     def make_leaf(values: np.ndarray, weights: np.ndarray) -> int:
-        dists = {}
-        for j, var in enumerate(schema):
-            col = values[:, j]
-            if var.symbolic:
-                counts = np.bincount(col.astype(int), weights=weights,
-                                     minlength=len(var.domain))
-                dists[var.name] = Multinomial.fit(var, counts)
-            else:
-                points = build_quantile_dataset(col, weights)
-                dists[var.name] = cdf_learn(points, config.epsilon)
-        leaves.append(Leaf(index=len(leaves), prior=float(weights.sum()) / total_weight,
-                           distributions=dists, path={}, sample_count=float(weights.sum())))
-        return len(leaves) - 1
+        for var, col in zip(schema, values.T):
+            columns[var.name].append(
+                Multinomial.fit(var, np.bincount(col.astype(int), weights=weights,
+                                                 minlength=len(var.domain)))
+                if var.symbolic else cdf_learn(build_quantile_dataset(col, weights),
+                                               config.epsilon))
+        count.append(float(weights.sum()))
+        prior.append(count[-1] / total_weight)
+        return len(prior) - 1
 
     def split(item):
         rows, depth = item
@@ -530,4 +524,4 @@ def learn(data: Dataset, config: LearnerConfig | None = None) -> TreeModel:
         return j, crit.value, (rows[left_mask], depth + 1), (rows[~left_mask], depth + 1)
 
     tree = grow((np.arange(len(data)), 0), split)
-    return TreeModel.of(schema, tree, _table(schema, tree, leaves), config)
+    return TreeModel.of(schema, tree, _table(schema, tree, prior, count, columns), config)

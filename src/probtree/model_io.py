@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import gc
 import json
 import math
 
@@ -31,16 +30,26 @@ def dumps(model: TreeModel) -> str:
                      {"type": "split", "var": var.name, "op": "le" if var.numeric else "eq",
                       "value": value if var.numeric else var.domain[int(value)],
                       "left": left, "right": right})
+    t, columns = model.table, []
+    for var in model.schema:  # each leaf's distributions, as to_json writes them
+        packed = t.store[var.name]
+        if var.symbolic:
+            domain = list(var.domain)
+            columns.append([{"domain": domain, "p": p} for p in packed.tolist()])
+            continue
+        x, F, first, last = (a.tolist() for a in packed)
+        columns.append([{"dirac": x[a]} if a == b else
+                        {"hinges": list(zip(x[a:b + 1], F[a:b + 1]))}
+                        for a, b in zip(first, last)])
+    names = [var.name for var in model.schema]
     doc = {
         "version": FORMAT_VERSION,
         "schema": [v.to_json() for v in model.schema],
         "config": model.config.to_json(),
         "nodes": nodes,
-        "leaves": [{
-            "prior": leaf.prior,
-            "sample_count": leaf.sample_count,
-            "distributions": {name: d.to_json() for name, d in leaf.distributions.items()},
-        } for leaf in model.leaves],
+        "leaves": [{"prior": prior, "sample_count": count, "distributions": dict(zip(names, dists))}
+                   for prior, count, *dists in zip(t.prior.tolist(), t.sample_count.tolist(),
+                                                   *columns)],
     }
     return json.dumps(doc, separators=(",", ":"))
 
@@ -55,18 +64,6 @@ def loads(text: str) -> TreeModel:
     positive priors summing to 1, positive sample counts, valid
     distributions, and nodes forming a tree of non-empty regions that
     reaches every leaf exactly once."""
-    # the document is tens of thousands of lists and dicts, none of them
-    # garbage: the collector would scan them again and again
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        return _loads(text)
-    finally:
-        if collecting:
-            gc.enable()
-
-
-def _loads(text: str) -> TreeModel:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import math
-from itertools import chain
 
 import numpy as np
 
 from .data import Variable
-from .plcdf import ColumnError, DistributionError
+from .plcdf import ColumnError, DistributionError, number_table
 
 
 def entropy_rel(counts) -> np.ndarray:
@@ -33,7 +32,7 @@ class Multinomial:
     def __init__(self, variable: Variable, probabilities):
         if not variable.symbolic:
             raise DistributionError(f"{variable.name!r} is not symbolic")
-        p = _table([probabilities], len(variable.domain))
+        p = number_table([probabilities], len(variable.domain))
         if p is None:
             raise DistributionError("probability vector does not match domain size")
         if _improper(p)[0]:
@@ -110,22 +109,6 @@ class Multinomial:
 _IMPROPER = "probabilities must lie in [0, 1] and sum to 1"
 
 
-def _table(rows, k: int):
-    """``rows`` as a float [row, k] array, or None if some row is not k
-    numbers (a string or a boolean is not a number)."""
-    try:
-        p = np.asarray(rows)
-    except ValueError:  # ragged rows
-        return None
-    if p.dtype.kind not in "iuf" or p.shape != (len(rows), k):
-        return None
-    # numpy reads a boolean among numbers as 0 or 1: only a scan sees it
-    lists = (row for row in rows if isinstance(row, list))
-    if bool in map(type, chain.from_iterable(lists)):
-        return None
-    return p.astype(float, copy=False)
-
-
 def _improper(p: np.ndarray) -> np.ndarray:
     """Which rows of the [row, k] table ``p`` are not distributions: a value
     outside [0, 1], NaN included, or a sum off 1 by more than 1e-9."""
@@ -148,10 +131,10 @@ def histograms_from_json(variable: Variable, objs) -> np.ndarray:
         if "p" not in obj:
             raise ColumnError(k, "histogram has no 'p'")
         rows.append(obj["p"])
-    p = _table(rows, len(domain))
+    p = number_table(rows, len(domain))
     if p is None:
         for k, row in enumerate(rows):
-            if _table([row], len(domain)) is None:
+            if number_table([row], len(domain)) is None:
                 raise ColumnError(k, "probability vector does not match domain size")
         raise DistributionError("probability vectors do not match domain size")
     bad = _improper(p)

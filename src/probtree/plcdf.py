@@ -75,8 +75,8 @@ class PiecewiseLinearCDF:
     __slots__ = ("x", "F", "_steps")
 
     def __init__(self, hinges):
-        arr = _hinge_table(hinges)
-        if arr is None or not len(arr):
+        arr = number_table(hinges, 2)
+        if arr is None:
             raise DistributionError("need at least one (x, F) hinge of numbers")
         fault = _hinge_fault(arr, *_ONE_SEGMENT)
         if fault:
@@ -228,19 +228,30 @@ def Dirac(value: float) -> PiecewiseLinearCDF:
     return PiecewiseLinearCDF([[value, 1.0]])
 
 
-def _hinge_table(hinges):
-    """``hinges`` as a float array of (x, F) rows, or None if they are not
-    rows of two numbers (a string or a boolean is not a number)."""
+_NUMBER = (int, float, np.integer, np.floating)
+
+
+def number_table(rows, k: int):
+    """``rows`` as a float [row, k] array, or None unless there are rows and
+    each is k numbers (a string or a boolean is not a number) in the float
+    range."""
+    if isinstance(rows, np.ndarray):
+        if rows.dtype.kind not in "iuf" or rows.ndim != 2 or rows.shape[1] != k or not len(rows):
+            return None
+        return rows.astype(float, copy=False)
+    try:  # one scan of the types of the rows and of their cells
+        if (not all(issubclass(t, (list, tuple, np.ndarray)) for t in set(map(type, rows)))
+                or set(map(len, rows)) != {k}):
+            return None
+    except TypeError:  # not a sequence
+        return None
+    flat = list(chain.from_iterable(rows))
+    if not all(issubclass(t, _NUMBER) and t is not bool for t in set(map(type, flat))):
+        return None
     try:
-        arr = np.asarray(hinges)
-    except ValueError:  # ragged rows
+        return np.array(flat, dtype=float).reshape(-1, k)
+    except OverflowError:
         return None
-    if arr.dtype.kind not in "iuf" or arr.ndim != 2 or arr.shape[1] != 2:
-        return None
-    # numpy reads a boolean among numbers as 0 or 1: only a scan sees it
-    if not isinstance(hinges, np.ndarray) and bool in map(type, chain.from_iterable(hinges)):
-        return None
-    return arr.astype(float, copy=False)
 
 
 # the first and last row of a table that holds one segment
@@ -336,35 +347,18 @@ def cdfs_from_json(objs):
             raise ColumnError(k, f"unrecognized numeric distribution encoding: {sorted(obj)}")
     last = np.cumsum(sizes) - 1
     first = last - sizes + 1
-    h = _number_pairs(rows)
+    h = number_table(rows, 2)
     if h is None:
         for k, (a, b) in enumerate(zip(first, last + 1)):
-            if _number_pairs(rows[a:b]) is None:
+            if number_table(rows[a:b], 2) is None:
                 raise ColumnError(k, "need (x, F) hinges of numbers")
+        raise DistributionError("need (x, F) hinges of numbers")
     fault = _hinge_fault(h, first, last, strict=True)
     if fault:
         raise ColumnError(*fault)
     xF = h.T.copy()
     xF.setflags(write=False)
     return xF[0], xF[1], first, last
-
-
-def _number_pairs(rows):
-    """JSON ``rows`` as a float array of (x, F) rows, or None unless each is
-    a pair of numbers (a string or a boolean is not a number) in the float
-    range."""
-    try:
-        if set(map(len, rows)) - {2}:
-            return None
-    except TypeError:  # a row without a length
-        return None
-    flat = list(chain.from_iterable(rows))
-    if not set(map(type, flat)) <= {int, float}:
-        return None
-    try:
-        return np.array(flat, dtype=float).reshape(-1, 2)
-    except OverflowError:
-        return None
 
 
 def packed_cdfs(x, F, first, last) -> list[PiecewiseLinearCDF]:

@@ -525,34 +525,69 @@ def hinge_model():
 
 def random_chain_model(rng, depth):
     """A chain of ``depth`` random decision nodes over numeric x, y and
-    symbolic c, each with a leaf on a random side. Leaves hold random PLFs
-    or Diracs at integers, and histograms of c with zeros, which need not
-    lie inside their paths."""
+    symbolic c, each with a leaf on a random side. Each leaf's mass lies
+    inside its path: random PLFs or Diracs (some at integers, some on a
+    path threshold), and histograms of c with zeros, at least on the values
+    that the path excludes. A chain much deeper than 60 can run out of room
+    for a split."""
     schema = (Variable("x", "numeric"), Variable("y", "numeric"),
               Variable("c", "symbolic", ("a", "b", "c", "d")))
+    # the chain's region below the last split: (lo, hi] of x and y, the
+    # admitted values of c; each split leaves both sides a value, so no
+    # region is empty
+    region = {"x": (-math.inf, math.inf), "y": (-math.inf, math.inf),
+              "c": np.ones(4, dtype=bool)}
+    splits, regions = [], []
+    for _ in range(depth):
+        left, right = dict(region), dict(region)
+        numeric = [var for var in schema[:2]  # those with room for a threshold
+                   if np.nextafter(region[var.name][0], math.inf) < region[var.name][1]]
+        if region["c"].sum() > 1 and (rng.random() < 0.3 or not numeric):
+            v = int(rng.choice(np.flatnonzero(region["c"])))
+            crit = SplitCriterion(schema[2], EQUALS, value_index=v)
+            left["c"], right["c"] = (region["c"] & (np.arange(4) == v),
+                                     region["c"] & (np.arange(4) != v))
+        else:
+            var = numeric[int(rng.integers(0, len(numeric)))]
+            lo, hi = region[var.name]
+            t = max(float(rng.uniform(max(lo, -10.0), min(hi, 10.0))),
+                    float(np.nextafter(lo, math.inf)))
+            crit = SplitCriterion(var, THRESHOLD, threshold=t)
+            left[var.name], right[var.name] = (lo, t), (t, hi)
+        leaf_left = bool(rng.random() < 0.5)
+        splits.append((crit, leaf_left))
+        regions.append(left if leaf_left else right)
+        region = right if leaf_left else left
+    regions.append(region)
+
     priors = rng.dirichlet(np.ones(depth + 1))
     leaves = []
-    for k, prior in enumerate(priors):
-        dists = {}
-        for var in schema[:2]:
-            if rng.random() < 0.25:
-                dists[var.name] = Dirac(float(rng.integers(-3, 4)))
-            else:
-                dists[var.name] = random_plf(rng, zero_start=bool(rng.random() < 0.5))
-        p = rng.random(4) * (rng.random(4) < 0.7)
-        p[rng.integers(0, 4)] += 0.1
+    for k, (prior, path) in enumerate(zip(priors, regions)):
+        dists = {var.name: _plf_inside(rng, *path[var.name]) for var in schema[:2]}
+        p = rng.random(4) * (rng.random(4) < 0.7) * path["c"]
+        p[rng.choice(np.flatnonzero(path["c"]))] += 0.1
         dists["c"] = Multinomial(schema[2], p / p.sum())
         leaves.append(Leaf(k, float(prior), dists, {}, 1))
     node = leaves[-1]
-    for leaf in reversed(leaves[:-1]):
-        if rng.random() < 0.3:
-            crit = SplitCriterion(schema[2], EQUALS, value_index=int(rng.integers(0, 4)))
-        else:
-            crit = SplitCriterion(schema[int(rng.integers(0, 2))], THRESHOLD,
-                                  threshold=float(rng.uniform(-10, 10)))
-        sides = (leaf, node) if rng.random() < 0.5 else (node, leaf)
-        node = DecisionNode(crit, *sides)
+    for (crit, leaf_left), leaf in zip(reversed(splits), reversed(leaves[:-1])):
+        node = DecisionNode(crit, *((leaf, node) if leaf_left else (node, leaf)))
     return TreeModel(schema, node, leaves, LearnerConfig())
+
+
+def _plf_inside(rng, lo, hi):
+    """A random PLF or Dirac with its mass in (lo, hi]; on a finite hi, its
+    last hinge or the Dirac falls on hi at times."""
+    a, b = (lo if lo > -math.inf else -12.0), (hi if hi < math.inf else 12.0)
+    on_hi = hi < math.inf and rng.random() < 0.3
+    if rng.random() >= 0.25:
+        plf = random_plf(rng, zero_start=bool(rng.random() < 0.5))
+        x = a + (b - a) * (plf.x + 10.0) / 20.0
+        if on_hi:
+            x[-1] = b
+        if x[0] > a and np.all(np.diff(x) > 0):  # a narrow region may merge hinges
+            return PiecewiseLinearCDF(np.column_stack([x, plf.F]))
+    ints = [v for v in range(-3, 4) if a < v <= b]
+    return Dirac(b if on_hi or not ints else float(rng.choice(ints)))
 
 
 def rows_on_hinges(rng, model, n):
@@ -985,8 +1020,7 @@ class TestMatchesThePerLeafLoop:
             assert got.tobytes() == want.tobytes(), e
             unpruned = leaf_posterior(model, e, prune=False)
             assert unpruned.tobytes() == reference_leaf_posterior(model, e, False).tobytes()
-            if name != "chain":  # the chain's leaves hold mass outside their paths
-                assert unpruned.tobytes() == got.tobytes(), e
+            assert unpruned.tobytes() == got.tobytes(), e
             assert (event_probability(model, q, e).hex()
                     == reference_event_probability(model, q, e).hex()), (q, e)
             if answered % 3 == 0:

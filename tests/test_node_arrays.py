@@ -55,6 +55,13 @@ def test_loads_builds_no_tree_leaf_or_distribution_objects(iris, monkeypatch):
     assert len(model.leaves) == 15 and isinstance(model.root, DecisionNode)
 
 
+def test_dumps_writes_from_the_store(iris):
+    text = dumps(learn(iris, LearnerConfig(min_samples_leaf=0.05)))
+    model = loads(text)
+    assert dumps(model) == text
+    assert held_objects(model) == []  # no leaf or tree views were built
+
+
 def attribute_reads(source: str, names) -> list[str]:
     """``name:line`` of every read of an attribute called one of ``names``."""
     return [f"{node.attr}:{node.lineno}" for node in ast.walk(ast.parse(source))
