@@ -12,8 +12,8 @@ from .data import (Assignment, AssignmentError, DataError, Dataset, Interval,
 from .inference import (ZeroEvidenceError, event_probability,
                         expectation_query, leaf_posterior, log_likelihood,
                         mpe, posterior_distributions, sample)
-from .learner import (DecisionNode, Leaf, LearnerConfig, SplitCriterion,
-                      TreeModel, impurity_improvement, learn)
+from .learner import (Leaf, LearnerConfig, SplitCriterion, TreeModel,
+                      impurity_improvement, learn)
 from .model_io import ModelFormatError, dumps, export_dot, load, loads, save
 from .multinomial import Multinomial
 from .plcdf import (Dirac, DistributionError, PiecewiseLinearCDF,
@@ -24,11 +24,10 @@ __all__ = [
     "Variable", "emit_csv", "ingest_csv", "make_assignment", "parse_assignment",
     "ZeroEvidenceError", "event_probability", "expectation_query",
     "leaf_posterior", "log_likelihood", "mpe", "posterior_distributions",
-    "sample", "DecisionNode", "Leaf", "LearnerConfig", "SplitCriterion",
-    "TreeModel", "impurity_improvement", "learn", "ModelFormatError", "dumps",
-    "export_dot", "load", "loads", "save", "Multinomial", "Dirac",
-    "DistributionError", "PiecewiseLinearCDF", "build_quantile_dataset",
-    "cdf_learn",
+    "sample", "Leaf", "LearnerConfig", "SplitCriterion", "TreeModel",
+    "impurity_improvement", "learn", "ModelFormatError", "dumps", "export_dot",
+    "load", "loads", "save", "Multinomial", "Dirac", "DistributionError",
+    "PiecewiseLinearCDF", "build_quantile_dataset", "cdf_learn",
 ]
 
 __version__ = "0.1.0"

@@ -247,12 +247,9 @@ def _put(out: Assignment, name: str, constraint) -> None:
 
 
 def _parse_num(tok: str) -> float:
-    try:
-        v = float(tok)
-    except ValueError:
-        raise AssignmentError(f"expected a number, got {tok.strip()!r}") from None
-    if not math.isfinite(v):
-        raise AssignmentError(f"non-finite number {tok.strip()!r}")
+    v = _read_number(tok)
+    if v is None:
+        raise AssignmentError(f"expected a finite number, got {tok.strip()!r}")
     return v
 
 
@@ -359,7 +356,7 @@ def ingest_csv(path, schema_override: dict | None = None) -> Dataset:
     columns = []
     for j, name in enumerate(header):
         cells = [row[j] for row in rows]
-        parsed = [_try_number(c) for c in cells]
+        parsed = [_read_number(c) for c in cells]
         all_numeric = all(v is not None for v in parsed)
         kind = override.get(name, NUMERIC if all_numeric else SYMBOLIC)
         if kind == NUMERIC:
@@ -406,9 +403,14 @@ def is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _try_number(cell: str):
+def _read_number(text: str) -> float | None:
+    """The finite decimal number that ``text`` spells, or None. ``float``
+    also reads digits grouped by underscores (``1_0`` as 10), which no CSV
+    cell or constraint means, so those are not numbers here."""
+    if "_" in text:
+        return None
     try:
-        v = float(cell)
+        v = float(text)
     except ValueError:
         return None
     return v if math.isfinite(v) else None

@@ -135,9 +135,8 @@ def run_regression_experiment(n: int = 1000, noise_sigma: float = 1.0,
         gen = learn(train, LearnerConfig(min_samples_leaf=frac))
         cart = learn(train, LearnerConfig(min_samples_leaf=frac, targets=("y",)))
         jpt_pred = np.array([_jpt_predict(gen, float(v), delta, x_range) for v in xt])
-        cart_pred = np.array([
-            cart.descend(np.array([v, 0.0])).distributions["y"].expectation()
-            for v in xt])
+        means = np.array([leaf.distributions["y"].expectation() for leaf in cart.leaves])
+        cart_pred = means[cart.route(np.column_stack([xt, np.zeros(n_test)]))]
         report["rows"].append({
             "fraction": frac,
             "jpt_mae": float(np.mean(np.abs(jpt_pred - yt))),

@@ -287,21 +287,6 @@ class LeafTable:
             self._columns[name] = column
         return column
 
-    def paths(self) -> list[dict]:
-        """Each leaf's path as an Assignment: the interval of each numeric
-        variable and the admitted values of each symbolic one that the
-        splits above the leaf constrain."""
-        out = [{} for _ in self.prior]
-        for name, region in self.regions.items():
-            if isinstance(region, tuple):
-                bounds = [a.tolist() for a in region]
-                for k in np.flatnonzero(region[2]):  # lo_open: the path bounds name
-                    out[k][name] = Interval(*(b[k] for b in bounds))
-            else:
-                for k in np.flatnonzero(~region.all(axis=1)):
-                    out[k][name] = frozenset(np.flatnonzero(region[k]).tolist())
-        return out
-
     def compatible(self, e) -> np.ndarray:
         """Whether each leaf's path meets every constraint of ``e``: the
         leaves that path pruning keeps."""

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import Assignment, DataError, Dataset, Variable, is_number
+from .data import DataError, Dataset, Variable, is_number
 from .leaftable import LeafTable, regions
 from .multinomial import Multinomial, entropy_rel, packed_histograms
 from .plcdf import build_quantile_dataset, cdf_learn, packed_cdfs
@@ -55,21 +55,12 @@ class SplitCriterion:
 
 
 @dataclass
-class DecisionNode:
-    criterion: SplitCriterion
-    left: "DecisionNode | Leaf"   # criterion satisfied
-    right: "DecisionNode | Leaf"  # otherwise
-
-
-@dataclass
 class Leaf:
-    """Terminal node: mixture component with per-variable distributions,
-    and its path: the region that the splits above it leave."""
+    """Terminal node: a mixture component with per-variable distributions."""
 
     index: int
     prior: float
     distributions: dict
-    path: Assignment
     sample_count: float
 
 
@@ -97,29 +88,13 @@ class Tree(NamedTuple):
 
 
 class TreeModel:
-    """A learnt tree with its leaves; immutable after construction. ``tree``
+    """A learnt or loaded tree with its leaves; immutable. ``tree``
     holds the nodes as arrays and ``table`` the leaves packed, which
-    queries read; ``root`` and ``leaves`` are object views of both, built
-    when first read."""
+    queries read; ``leaves`` is an object view of the table, built when
+    first read. Leaf k's path region is entry k of ``table.regions``."""
 
-    def __init__(self, schema, root, leaves, config: "LearnerConfig"):
-        """The model of a hand-built tree: its root DecisionNode (or Leaf)
-        and its leaves by index. The leaves' paths come from the tree."""
-        index = {var.name: j for j, var in enumerate(schema)}
-        tree = grow(root, lambda node: node.index if isinstance(node, Leaf) else (
-            index[node.criterion.variable.name], node.criterion.value, node.left, node.right))
-        self.schema, self.tree, self.config = tuple(schema), tree, config
-        self.table = _table(schema, tree, [leaf.prior for leaf in leaves],
-                            [leaf.sample_count for leaf in leaves],
-                            {var.name: [leaf.distributions[var.name] for leaf in leaves]
-                             for var in schema})
-
-    @classmethod
-    def of(cls, schema, tree: Tree, table: LeafTable, config: "LearnerConfig") -> "TreeModel":
-        """The model of node arrays and their leaf table."""
-        model = cls.__new__(cls)
-        model.schema, model.tree, model.table, model.config = tuple(schema), tree, table, config
-        return model
+    def __init__(self, schema, tree: Tree, table: LeafTable, config: "LearnerConfig"):
+        self.schema, self.tree, self.table, self.config = tuple(schema), tree, table, config
 
     def criterion(self, i: int) -> SplitCriterion:
         """The test of split node ``i``."""
@@ -133,19 +108,9 @@ class TreeModel:
         columns = [packed_histograms(var, t.store[var.name]) if var.symbolic
                    else packed_cdfs(*t.store[var.name]) for var in self.schema]
         names = [var.name for var in self.schema]
-        return [Leaf(k, prior, dict(zip(names, dists)), path, count)
-                for k, (prior, count, path, *dists) in enumerate(
-                    zip(t.prior.tolist(), t.sample_count.tolist(), t.paths(), *columns))]
-
-    @cached_property
-    def root(self) -> "DecisionNode | Leaf":
-        t, leaves = self.tree, self.leaves
-        nodes = [leaves[k] if f < 0 else DecisionNode(self.criterion(i), None, None)
-                 for i, (f, k) in enumerate(zip(t.feature.tolist(), t.leaf.tolist()))]
-        for node, left, right in zip(nodes, t.left.tolist(), t.right.tolist()):
-            if isinstance(node, DecisionNode):
-                node.left, node.right = nodes[left], nodes[right]
-        return nodes[0]
+        return [Leaf(k, prior, dict(zip(names, dists)), count)
+                for k, (prior, count, *dists) in enumerate(
+                    zip(t.prior.tolist(), t.sample_count.tolist(), *columns))]
 
     def route(self, values: np.ndarray) -> np.ndarray:
         """Index in ``leaves`` of the leaf each row of ``values`` reaches: the
@@ -524,4 +489,4 @@ def learn(data: Dataset, config: LearnerConfig | None = None) -> TreeModel:
         return j, crit.value, (rows[left_mask], depth + 1), (rows[~left_mask], depth + 1)
 
     tree = grow((np.arange(len(data)), 0), split)
-    return TreeModel.of(schema, tree, _table(schema, tree, prior, count, columns), config)
+    return TreeModel(schema, tree, _table(schema, tree, prior, count, columns), config)

@@ -22,7 +22,7 @@ class ModelFormatError(ValueError):
 
 def dumps(model: TreeModel) -> str:
     """The model as a document; its nodes keep the order of the node
-    arrays, which is preorder for a learnt or hand-built tree."""
+    arrays, which is preorder for a learnt tree."""
     nodes = []
     for f, value, left, right, k in zip(*(a.tolist() for a in model.tree)):
         var = model.schema[f]
@@ -142,7 +142,7 @@ def loads(text: str) -> TreeModel:
     if empty.size:
         i = empty.min()
         raise ModelFormatError(f"nodes[{i}]: leaf {tree.leaf[i]} has an empty region")
-    return TreeModel.of(schema, tree, LeafTable(prior, count, store, region), config)
+    return TreeModel(schema, tree, LeafTable(prior, count, store, region), config)
 
 
 def _nodes(nodes, schema, n_leaves: int) -> Tree:

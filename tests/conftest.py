@@ -1,9 +1,11 @@
+import json
+import math
 import pathlib
 
 import numpy as np
 import pytest
 
-from probtree import Dataset, Interval, LearnerConfig, Variable, ingest_csv, learn
+from probtree import Dataset, Interval, LearnerConfig, Variable, ingest_csv, learn, loads
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -67,10 +69,84 @@ def random_plf(rng, max_hinges=12, zero_start=True):
     return PiecewiseLinearCDF(np.column_stack([x, F]))
 
 
-def accepts_row(leaf, schema, row) -> bool:
-    """Whether ``row`` meets every constraint of the leaf's path: the
-    partition oracle, independent of the node arrays that route rows."""
-    for name, constraint in leaf.path.items():
+def hand_model(schema, tree, leaves, config=None):
+    """A hand-made model, written as a model document and loaded with
+    ``loads``. ``tree`` is a leaf index or ``(name, value, left, right)``, a
+    split on variable ``name`` at a threshold (numeric) or a label
+    (symbolic); its nodes are numbered in preorder, left child first, as
+    ``learn`` numbers them. ``leaves`` holds ``(prior, sample_count,
+    distributions)`` by leaf index, with distribution objects."""
+    numeric = {var.name: var.numeric for var in schema}
+    nodes, stack = [], [(tree, None)]  # (item, (parent entry, side) or None)
+    while stack:
+        item, slot = stack.pop()
+        if slot is not None:
+            slot[0][slot[1]] = len(nodes)
+        if isinstance(item, int):
+            nodes.append({"type": "leaf", "leaf": item})
+            continue
+        name, value, left, right = item
+        nodes.append({"type": "split", "var": name, "op": "le" if numeric[name] else "eq",
+                      "value": value})
+        stack += (right, (nodes[-1], "right")), (left, (nodes[-1], "left"))
+    doc = {"version": 1, "schema": [var.to_json() for var in schema],
+           "config": (config or LearnerConfig()).to_json(), "nodes": nodes,
+           "leaves": [{"prior": prior, "sample_count": count,
+                       "distributions": {name: d.to_json() for name, d in dists.items()}}
+                      for prior, count, dists in leaves]}
+    return loads(json.dumps(doc))
+
+
+def reference_paths(model) -> list[dict]:
+    """Each leaf's path by leaf index: the Assignment of the regions that
+    the splits above it leave, intersected down from the root of
+    ``model.tree`` one ``Interval`` or value set at a time. Only the
+    variables that some split above the leaf tests appear. It is the rule
+    that ``model.table.regions`` must match, worked out apart from it."""
+    t, schema = model.tree, model.schema
+    out, stack = [None] * len(model.table.prior), [(0, {})]
+    while stack:
+        i, path = stack.pop()
+        if t.feature[i] < 0:
+            out[int(t.leaf[i])] = path
+            continue
+        var, v = schema[int(t.feature[i])], float(t.value[i])
+        if var.numeric:
+            prev = path.get(var.name, Interval(-math.inf, math.inf, True, True))
+            left = prev.intersect(Interval(-math.inf, v, lower_open=True))
+            right = prev.intersect(Interval(v, math.inf, True, True))
+        else:
+            prev = path.get(var.name, frozenset(range(len(var.domain))))
+            left = prev & frozenset([int(v)])
+            right = prev - left
+        stack += ((int(t.right[i]), {**path, var.name: right}),
+                  (int(t.left[i]), {**path, var.name: left}))
+    return out
+
+
+def assert_regions_match_the_walk(model):
+    """``model.table.regions`` at row k equals leaf k's path of
+    ``reference_paths``, where a variable no split above the leaf tests has
+    the closed whole line or every value."""
+    paths = reference_paths(model)
+    for var in model.schema:
+        region = model.table.regions[var.name]
+        if var.numeric:
+            whole = Interval(-math.inf, math.inf)
+            got = [Interval(*bounds) for bounds in zip(*(a.tolist() for a in region))]
+            want = [path.get(var.name, whole) for path in paths]
+        else:
+            every = frozenset(range(len(var.domain)))
+            got = [frozenset(np.flatnonzero(row).tolist()) for row in region]
+            want = [path.get(var.name, every) for path in paths]
+        assert got == want, var.name
+
+
+def accepts_row(path, schema, row) -> bool:
+    """Whether ``row`` meets every constraint of a leaf's ``path`` from
+    ``reference_paths``: the partition oracle, independent of the node
+    arrays' routing and of the leaf table."""
+    for name, constraint in path.items():
         j = next(i for i, v in enumerate(schema) if v.name == name)
         if isinstance(constraint, Interval):
             if not constraint.contains(float(row[j])):

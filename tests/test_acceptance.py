@@ -19,7 +19,7 @@ from probtree.experiments import (run_cdf_fit_experiment,
                                   run_likelihood_sweep,
                                   run_regression_experiment)
 
-from conftest import accepts_row, random_discrete_dataset, random_plf
+from conftest import accepts_row, random_discrete_dataset, random_plf, reference_paths
 
 
 def report(capsys, num: int, title: str, passed: bool, detail: str):
@@ -262,9 +262,10 @@ def test_criterion_8_partition_property(capsys, iris):
     rows = 0
     for ds, cfg in cases:
         model = learn(ds, cfg)
+        paths = reference_paths(model)
         for row in ds.values:
-            accepting = [l.index for l in model.leaves
-                         if accepts_row(l, model.schema, row)]
+            accepting = [k for k, path in enumerate(paths)
+                         if accepts_row(path, model.schema, row)]
             ok &= len(accepting) == 1 and model.descend(row).index == accepting[0]
             rows += 1
     report(capsys, 8, "partition property", ok,

@@ -8,11 +8,11 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from probtree import (DecisionNode, Dataset, LearnerConfig, Variable, ingest_csv, learn, load,
-                      log_likelihood, save)
+from probtree import (Dataset, LearnerConfig, Variable, ingest_csv, learn, load, log_likelihood,
+                      save)
 from probtree.cli import main
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
@@ -80,11 +80,11 @@ class TestTrain:
         assert code == 0, capsys.readouterr().err
         model = load(out)
         assert len(model.leaves) == 1200
-        depth, stack = 0, [(model.root, 0)]
+        t, depth, stack = model.tree, 0, [(0, 0)]
         while stack:
-            node, d = stack.pop()
-            if isinstance(node, DecisionNode):
-                stack += (node.left, d + 1), (node.right, d + 1)
+            i, d = stack.pop()
+            if t.feature[i] >= 0:
+                stack += (t.left[i], d + 1), (t.right[i], d + 1)
             depth = max(depth, d)
         assert depth == 244 > 200
 
@@ -359,6 +359,8 @@ def fuzz_model(tmp_path_factory):
 
 
 @settings(max_examples=300, deadline=None)
+@example(mode="--q", q="sepal_length = 1_0", e=None, target="species")
+@example(mode="--mpe", q="species = setosa", e="petal_length in [1_0, 2_0]", target="species")
 @given(mode=st.sampled_from(["--q", "--mpe", "--expect"]), q=CONSTRAINTS,
        e=st.one_of(st.none(), CONSTRAINTS), target=st.sampled_from(NUMERIC_NAMES + ("species",)))
 def test_query_constraints_never_end_in_a_traceback(fuzz_model, mode, q, e, target):
@@ -374,6 +376,9 @@ def test_query_constraints_never_end_in_a_traceback(fuzz_model, mode, q, e, targ
     assert (code == 0) == (err.getvalue() == ""), (argv, err.getvalue())
     if code == 0:
         json.loads(out.getvalue())
+    # 1_0 is no number (float() reads it as 10), nor a label of the model
+    if any("1_0" in text for text in ([q] if mode == "--q" else []) + [e or ""]):
+        assert code == 1 and err.getvalue().startswith("error: "), (argv, err.getvalue())
 
 
 # -- CSV ingest under fuzzing ---------------------------------------------------
@@ -415,6 +420,7 @@ def run_cli(argv):
 
 
 @settings(max_examples=300, deadline=None)
+@example(header=["a", "b"], rows=[["1_0", "x"], ["2", "y"]], quoted=False, tail=b"")
 @given(header=HEADER, rows=ROWS, quoted=st.booleans(),
        tail=st.sampled_from([b"", b"\xff", b"\xc3"]))
 def test_csv_ingest_never_ends_in_a_traceback(csv_model, tmp_path_factory, header, rows,
@@ -436,3 +442,12 @@ def test_csv_ingest_never_ends_in_a_traceback(csv_model, tmp_path_factory, heade
             assert code == 0 or err.startswith("error: "), err
             results.append((code, out))
     assert results[:2] == results[2:]
+    # a column with a 1_0 cell is symbolic (float() reads it as 10), and
+    # a 1_0 cell under the model's numeric column a cannot be read
+    if results[0][0] == 0 or results[1][0] == 0:
+        read = list(csv.reader(io.StringIO(body.decode("utf-8-sig"), newline="")))
+    if results[0][0] == 0:
+        for var, cells in zip(load(folder / "m.json").schema, zip(*read[1:])):
+            assert var.symbolic or not any("_" in c for c in cells), (var, cells)
+    if results[1][0] == 0:
+        assert not any("_" in row[0] for row in read[1:]), read

@@ -58,6 +58,14 @@ class TestIngest:
         with pytest.raises(DataError, match="foo"):
             ingest_csv(p, {"x": "numeric"})
 
+    def test_underscored_digits_are_not_a_number(self, tmp_path):
+        # float() reads 1_0 as 10; no CSV cell means that
+        p = write_csv(tmp_path, "x\n1_0\n2\n")
+        ds = ingest_csv(p)
+        assert ds.schema[0].symbolic and ds.schema[0].domain == ("1_0", "2")
+        with pytest.raises(DataError, match="'1_0'"):
+            ingest_csv(p, {"x": "numeric"})
+
     def test_ragged_rows(self, tmp_path):
         with pytest.raises(DataError, match="row 3"):
             ingest_csv(write_csv(tmp_path, "a,b\n1,2\n1\n"))
@@ -143,6 +151,11 @@ class TestParseAssignment:
     def test_rejection_names_token(self):
         with pytest.raises(AssignmentError, match="bogus"):
             parse_assignment("x in [bogus, 1]", SCHEMA)
+
+    @pytest.mark.parametrize("text", ["x in [1_0, 2_0]", "x = 1_0", "x in [0, 1_0]"])
+    def test_underscored_digits_are_not_a_number(self, text):
+        with pytest.raises(AssignmentError, match="_0"):
+            parse_assignment(text, SCHEMA)
 
     @pytest.mark.parametrize("text", [
         "x in [0,1]", "  color   =  Blue ", "x=-3.5e2", "color in {Blue}",

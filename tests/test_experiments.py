@@ -9,6 +9,8 @@ from probtree.experiments import (GaussianMixture1D, gen_gaussian_toy,
                                   run_likelihood_sweep,
                                   run_regression_experiment)
 
+from conftest import reference_paths
+
 
 def constraints_disjoint(a, b):
     if isinstance(a, Interval):
@@ -43,12 +45,12 @@ class TestGaussianToy:
     def test_leaf_regions_are_disjoint_rectangles(self):
         ds = gen_gaussian_toy(1000, 0)
         model = learn(ds, LearnerConfig(min_samples_leaf=0.1))
-        assert len(model.leaves) > 1
-        for i, a in enumerate(model.leaves):
-            for b in model.leaves[i + 1:]:
-                shared = set(a.path) & set(b.path)
-                assert any(constraints_disjoint(a.path[n], b.path[n])
-                           for n in shared)
+        paths = reference_paths(model)
+        assert len(paths) > 1
+        for i, a in enumerate(paths):
+            for b in paths[i + 1:]:
+                shared = set(a) & set(b)
+                assert any(constraints_disjoint(a[n], b[n]) for n in shared)
 
 
 class TestGaussianMixture1D:

@@ -4,49 +4,36 @@ import math
 import numpy as np
 import pytest
 
-from probtree import (AssignmentError, DataError, Dataset, DecisionNode, Dirac,
-                      Interval, Leaf, LearnerConfig, Multinomial,
-                      PiecewiseLinearCDF, SplitCriterion, TreeModel, Variable,
+from probtree import (AssignmentError, DataError, Dataset, Dirac, Interval,
+                      LearnerConfig, Multinomial, PiecewiseLinearCDF, TreeModel, Variable,
                       ZeroEvidenceError, event_probability, expectation_query,
                       ingest_csv, leaf_posterior, learn, log_likelihood,
                       make_assignment, mpe, posterior_distributions, sample)
 from probtree.inference import _merge_numeric
-from probtree.learner import EQUALS, THRESHOLD
+from probtree.leaftable import LeafTable
+
+from conftest import hand_model, reference_paths
 
 
 def uniform_mixture_model():
     """Two equally weighted leaves: x uniform on [0,1] and on [1,2]."""
     c = Variable("c", "symbolic", ("a", "b"))
     schema = (Variable("x", "numeric"), c)
-    leaves = [
-        Leaf(0, 0.5, {"x": PiecewiseLinearCDF([[0, 0], [1, 1]]),
-                      "c": Multinomial(c, [1.0, 0.0])}, {"c": frozenset({0})}, 2),
-        Leaf(1, 0.5, {"x": PiecewiseLinearCDF([[1, 0], [2, 1]]),
-                      "c": Multinomial(c, [0.0, 1.0])}, {"c": frozenset({1})}, 2),
-    ]
-    root = DecisionNode(SplitCriterion(c, EQUALS, value_index=0), *leaves)
-    return TreeModel(schema, root, leaves, LearnerConfig())
+    return hand_model(schema, ("c", "a", 0, 1), [
+        (0.5, 2, {"x": PiecewiseLinearCDF([[0, 0], [1, 1]]), "c": Multinomial(c, [1.0, 0.0])}),
+        (0.5, 2, {"x": PiecewiseLinearCDF([[1, 0], [2, 1]]), "c": Multinomial(c, [0.0, 1.0])}),
+    ])
 
 def dirac_model():
     """x <= 1.5 ? (c = a ? leaf 0 : leaf 1) : leaf 2, with priors 1/4, 1/4,
     1/2. Leaves 0 and 1 hold x = Dirac(1) and c certain to be a and b;
     leaf 2 holds x uniform on [2, 4] and c uniform."""
     x, c = Variable("x", "numeric"), Variable("c", "symbolic", ("a", "b"))
-    low = Interval(-math.inf, 1.5, lower_open=True)
-    leaves = [
-        Leaf(0, 0.25, {"x": Dirac(1.0), "c": Multinomial(c, [1.0, 0.0])},
-             {"x": low, "c": frozenset({0})}, 1),
-        Leaf(1, 0.25, {"x": Dirac(1.0), "c": Multinomial(c, [0.0, 1.0])},
-             {"x": low, "c": frozenset({1})}, 1),
-        Leaf(2, 0.5, {"x": PiecewiseLinearCDF([[2, 0], [4, 1]]),
-                      "c": Multinomial(c, [0.5, 0.5])},
-             {"x": Interval(1.5, math.inf, True, True)}, 2),
-    ]
-    root = DecisionNode(SplitCriterion(x, THRESHOLD, threshold=1.5),
-                        DecisionNode(SplitCriterion(c, EQUALS, value_index=0),
-                                     leaves[0], leaves[1]),
-                        leaves[2])
-    return TreeModel((x, c), root, leaves, LearnerConfig())
+    return hand_model((x, c), ("x", 1.5, ("c", "a", 0, 1), 2), [
+        (0.25, 1, {"x": Dirac(1.0), "c": Multinomial(c, [1.0, 0.0])}),
+        (0.25, 1, {"x": Dirac(1.0), "c": Multinomial(c, [0.0, 1.0])}),
+        (0.5, 2, {"x": PiecewiseLinearCDF([[2, 0], [4, 1]]), "c": Multinomial(c, [0.5, 0.5])}),
+    ])
 
 
 class TestDiracLeaves:
@@ -182,13 +169,13 @@ class TestLeafPosterior:
 
     def test_path_contradicting_evidence_gets_zero(self, toy_hybrid_model):
         model = toy_hybrid_model
-        for leaf in model.leaves:
-            constraint = leaf.path.get("x")
+        for k, path in enumerate(reference_paths(model)):
+            constraint = path.get("x")
             if isinstance(constraint, Interval) and math.isfinite(constraint.upper):
                 e = {"x": Interval(constraint.upper + 1.0,
                                    constraint.upper + 1.0)}
                 post = leaf_posterior(model, e)
-                assert post[leaf.index] == 0.0
+                assert post[k] == 0.0
                 return
         pytest.skip("no bounded numeric path in this tree")
 
@@ -411,14 +398,12 @@ class TestExpectationQuery:
         # merged CDF that spreads those masses over the gap would be 1.125
         c = Variable("c", "symbolic", ("a", "b"))
         schema = (Variable("x", "numeric"), c)
-        leaves = [
-            Leaf(0, 0.5, {"x": PiecewiseLinearCDF([[0, .5], [1, 1]]),
-                          "c": Multinomial(c, [1.0, 0.0])}, {"c": frozenset({0})}, 2),
-            Leaf(1, 0.5, {"x": PiecewiseLinearCDF([[2, .5], [3, 1]]),
-                          "c": Multinomial(c, [0.0, 1.0])}, {"c": frozenset({1})}, 2),
-        ]
-        root = DecisionNode(SplitCriterion(c, EQUALS, value_index=0), *leaves)
-        model = TreeModel(schema, root, leaves, LearnerConfig())
+        model = hand_model(schema, ("c", "a", 0, 1), [
+            (0.5, 2, {"x": PiecewiseLinearCDF([[0, .5], [1, 1]]),
+                      "c": Multinomial(c, [1.0, 0.0])}),
+            (0.5, 2, {"x": PiecewiseLinearCDF([[2, .5], [3, 1]]),
+                      "c": Multinomial(c, [0.0, 1.0])}),
+        ])
         mean, lo, hi = expectation_query(model, "x")
         assert mean == pytest.approx(1.25, abs=1e-12)
         assert lo <= mean <= hi
@@ -512,15 +497,12 @@ def hinge_model():
     x = Variable("x", "numeric")
     c = Variable("c", "symbolic", ("a", "b"))
     d = Variable("d", "symbolic", ("u", "v", "w"))
-    leaves = [
-        Leaf(0, 0.75, {"x": PiecewiseLinearCDF([[0, 0.1], [1, 0.3], [2, 0.3], [4, 1]]),
-                       "c": Multinomial(c, [1.0, 0.0]),
-                       "d": Multinomial(d, [0.5, 0.5, 0.0])}, {"c": frozenset({0})}, 3),
-        Leaf(1, 0.25, {"x": Dirac(3.0), "c": Multinomial(c, [0.0, 1.0]),
-                       "d": Multinomial(d, [0.2, 0.3, 0.5])}, {"c": frozenset({1})}, 1),
-    ]
-    root = DecisionNode(SplitCriterion(c, EQUALS, value_index=0), *leaves)
-    return TreeModel((x, c, d), root, leaves, LearnerConfig())
+    return hand_model((x, c, d), ("c", "a", 0, 1), [
+        (0.75, 3, {"x": PiecewiseLinearCDF([[0, 0.1], [1, 0.3], [2, 0.3], [4, 1]]),
+                   "c": Multinomial(c, [1.0, 0.0]), "d": Multinomial(d, [0.5, 0.5, 0.0])}),
+        (0.25, 1, {"x": Dirac(3.0), "c": Multinomial(c, [0.0, 1.0]),
+                   "d": Multinomial(d, [0.2, 0.3, 0.5])}),
+    ])
 
 
 def random_chain_model(rng, depth):
@@ -544,7 +526,7 @@ def random_chain_model(rng, depth):
                    if np.nextafter(region[var.name][0], math.inf) < region[var.name][1]]
         if region["c"].sum() > 1 and (rng.random() < 0.3 or not numeric):
             v = int(rng.choice(np.flatnonzero(region["c"])))
-            crit = SplitCriterion(schema[2], EQUALS, value_index=v)
+            split = "c", schema[2].domain[v]
             left["c"], right["c"] = (region["c"] & (np.arange(4) == v),
                                      region["c"] & (np.arange(4) != v))
         else:
@@ -552,26 +534,26 @@ def random_chain_model(rng, depth):
             lo, hi = region[var.name]
             t = max(float(rng.uniform(max(lo, -10.0), min(hi, 10.0))),
                     float(np.nextafter(lo, math.inf)))
-            crit = SplitCriterion(var, THRESHOLD, threshold=t)
+            split = var.name, t
             left[var.name], right[var.name] = (lo, t), (t, hi)
         leaf_left = bool(rng.random() < 0.5)
-        splits.append((crit, leaf_left))
+        splits.append((split, leaf_left))
         regions.append(left if leaf_left else right)
         region = right if leaf_left else left
     regions.append(region)
 
     priors = rng.dirichlet(np.ones(depth + 1))
     leaves = []
-    for k, (prior, path) in enumerate(zip(priors, regions)):
+    for prior, path in zip(priors, regions):
         dists = {var.name: _plf_inside(rng, *path[var.name]) for var in schema[:2]}
         p = rng.random(4) * (rng.random(4) < 0.7) * path["c"]
         p[rng.choice(np.flatnonzero(path["c"]))] += 0.1
         dists["c"] = Multinomial(schema[2], p / p.sum())
-        leaves.append(Leaf(k, float(prior), dists, {}, 1))
-    node = leaves[-1]
-    for (crit, leaf_left), leaf in zip(reversed(splits), reversed(leaves[:-1])):
-        node = DecisionNode(crit, *((leaf, node) if leaf_left else (node, leaf)))
-    return TreeModel(schema, node, leaves, LearnerConfig())
+        leaves.append((float(prior), 1, dists))
+    node = depth  # the chain's last leaf; leaf k hangs off split k
+    for k, (split, leaf_left) in reversed(list(enumerate(splits))):
+        node = (*split, *((k, node) if leaf_left else (node, k)))
+    return hand_model(schema, node, leaves)
 
 
 def _plf_inside(rng, lo, hi):
@@ -737,9 +719,9 @@ class TestSample:
 # -- the per-leaf loop that the leaf table replaced, kept as the reference -----
 
 
-def _reference_path_compatible(leaf, e):
+def _reference_path_compatible(path, e):
     for name, constraint in e.items():
-        cond = leaf.path.get(name)
+        cond = path.get(name)
         if cond is None:
             continue
         if isinstance(constraint, Interval):
@@ -761,8 +743,8 @@ def reference_leaf_posterior(model, e, prune=True):
     multiply its prior by the density at a point or the mass of each
     constraint, with the scalar distribution methods."""
     weights = np.zeros(len(model.leaves))
-    for k, leaf in enumerate(model.leaves):
-        if prune and not _reference_path_compatible(leaf, e):
+    for leaf, path in zip(model.leaves, reference_paths(model)):
+        if prune and not _reference_path_compatible(path, e):
             continue
         w = leaf.prior
         for name, constraint in e.items():
@@ -773,7 +755,7 @@ def reference_leaf_posterior(model, e, prune=True):
                 w *= _reference_mass(dist, constraint)
             if w == 0.0:
                 break
-        weights[k] = w
+        weights[leaf.index] = w
     total = weights.sum()
     if total <= 0.0:
         raise ZeroEvidenceError("evidence has zero probability")
@@ -930,32 +912,28 @@ def threshold_model():
     x, y = Variable("x", "numeric"), Variable("y", "numeric")
     c = Variable("c", "symbolic", ("a", "b", "c"))
 
-    def leaf(k, prior, xd, yd, p):
-        return Leaf(k, prior, {"x": xd, "y": yd, "c": Multinomial(c, p)}, {}, 1)
+    def leaf(prior, xd, yd, p):
+        return prior, 1, {"x": xd, "y": yd, "c": Multinomial(c, p)}
 
-    leaves = [
-        leaf(0, 0.3, PiecewiseLinearCDF([[0, 0.25], [1, 0.5], [2, 1]]),
+    return hand_model((x, y, c), ("x", 2.0, ("c", "a", 0, 1), ("y", 0.0, 2, 3)), [
+        leaf(0.3, PiecewiseLinearCDF([[0, 0.25], [1, 0.5], [2, 1]]),
              PiecewiseLinearCDF([[-1, 0], [1, 1]]), [1.0, 0.0, 0.0]),
-        leaf(1, 0.2, Dirac(2.0), PiecewiseLinearCDF([[-2, 0.5], [0, 0.75], [3, 1]]),
+        leaf(0.2, Dirac(2.0), PiecewiseLinearCDF([[-2, 0.5], [0, 0.75], [3, 1]]),
              [0.0, 0.4, 0.6]),
-        leaf(2, 0.25, PiecewiseLinearCDF([[2.5, 0.1], [4, 1]]),
+        leaf(0.25, PiecewiseLinearCDF([[2.5, 0.1], [4, 1]]),
              PiecewiseLinearCDF([[-3, 0], [-1, 0], [0, 1]]), [0.2, 0.3, 0.5]),
-        leaf(3, 0.25, PiecewiseLinearCDF([[3, 0], [3.5, 0.5], [6, 1]]), Dirac(0.5),
+        leaf(0.25, PiecewiseLinearCDF([[3, 0], [3.5, 0.5], [6, 1]]), Dirac(0.5),
              [0.5, 0.5, 0.0]),
-    ]
-    root = DecisionNode(SplitCriterion(x, THRESHOLD, threshold=2.0),
-                        DecisionNode(SplitCriterion(c, EQUALS, value_index=0), *leaves[:2]),
-                        DecisionNode(SplitCriterion(y, THRESHOLD, threshold=0.0), *leaves[2:]))
-    return TreeModel((x, y, c), root, leaves, LearnerConfig())
+    ])
 
 
 def _points(model, name):
     """Every hinge and finite path bound of ``name``, the midpoints between
     them, a point beyond each end, and both infinities."""
     xs = set()
-    for leaf in model.leaves:
+    for leaf, path in zip(model.leaves, reference_paths(model)):
         xs.update(leaf.distributions[name].x.tolist())
-        cond = leaf.path.get(name)
+        cond = path.get(name)
         if cond is not None:
             xs.update(b for b in (cond.lower, cond.upper) if math.isfinite(b))
     xs = sorted(xs)
@@ -1013,7 +991,7 @@ class TestMatchesThePerLeafLoop:
                 with pytest.raises(ZeroEvidenceError):
                     leaf_posterior(model, e)
                 continue
-            kept = [_reference_path_compatible(leaf, e) for leaf in model.leaves]
+            kept = [_reference_path_compatible(path, e) for path in reference_paths(model)]
             assert model.table.compatible(e).tolist() == kept, e
             answered += 1
             got = leaf_posterior(model, e)
@@ -1055,12 +1033,9 @@ class TestMatchesThePerLeafLoop:
         # no learnt tree has such a leaf, so only here do the two settings differ
         c = Variable("c", "symbolic", ("a", "b"))
         schema = (Variable("x", "numeric"), c)
-        leaves = [Leaf(0, 0.5, {"x": Dirac(0.0), "c": Multinomial(c, [1.0, 0.0])},
-                       {"c": frozenset({0})}, 1),
-                  Leaf(1, 0.5, {"x": Dirac(1.0), "c": Multinomial(c, [0.5, 0.5])},
-                       {"c": frozenset({1})}, 1)]
-        root = DecisionNode(SplitCriterion(c, EQUALS, value_index=0), *leaves)
-        model = TreeModel(schema, root, leaves, LearnerConfig())
+        model = hand_model(schema, ("c", "a", 0, 1), [
+            (0.5, 1, {"x": Dirac(0.0), "c": Multinomial(c, [1.0, 0.0])}),
+            (0.5, 1, {"x": Dirac(1.0), "c": Multinomial(c, [0.5, 0.5])})])
         e = {"c": frozenset({0})}
         assert leaf_posterior(model, e).tolist() == [1.0, 0.0]
         assert leaf_posterior(model, e, prune=False) == pytest.approx([2 / 3, 1 / 3])
@@ -1142,10 +1117,13 @@ class TestSampleFollowsTheConditionedLeaves:
 class TestLeafTable:
     def test_a_stepped_leaf_cdf_is_rejected_when_read(self):
         # a repeated hinge x is a step, which only merged marginals may have
+        # (loads rejects it), so leaf 0's hinges go into the table directly
         model = hinge_model()
-        stepped = PiecewiseLinearCDF([[0, 0.2], [1, 0.4], [1, 0.6], [2, 1]])
-        model.leaves[0].distributions["x"] = stepped
-        model = TreeModel(model.schema, model.root, model.leaves, LearnerConfig())
+        t = model.table
+        stepped = (np.array([0.0, 1.0, 1.0, 2.0, 3.0]), np.array([0.2, 0.4, 0.6, 1.0, 1.0]),
+                   np.array([0, 4]), np.array([3, 4]))  # leaf 1 keeps its Dirac(3)
+        table = LeafTable(t.prior, t.sample_count, {**t.store, "x": stepped}, t.regions)
+        model = TreeModel(model.schema, model.tree, table, model.config)
         assert leaf_posterior(model, {"d": frozenset({0})}).sum() == pytest.approx(1.0)
         with pytest.raises(DataError, match="strictly increasing"):
             leaf_posterior(model, {"x": Interval(0.5, 1.5)})

@@ -3,13 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from probtree import (DataError, Dataset, DecisionNode, Dirac, Interval, Leaf, LearnerConfig,
-                      Multinomial, PiecewiseLinearCDF, SplitCriterion,
-                      TreeModel, Variable, dumps, impurity_improvement, learn)
+from probtree import (DataError, Dataset, Dirac, LearnerConfig, Multinomial, PiecewiseLinearCDF,
+                      SplitCriterion, TreeModel, Variable, dumps, impurity_improvement, learn)
 from probtree.learner import (EQUALS, THRESHOLD, _best_numeric_split,
                               _best_symbolic_split, _Scope)
 
-from conftest import accepts_row, random_discrete_dataset
+from conftest import accepts_row, random_discrete_dataset, reference_paths
 
 
 def two_symbol_dataset():
@@ -197,7 +196,7 @@ class TestLearn:
     def test_ninety_percent_single_leaf(self, iris):
         model = learn(iris, LearnerConfig(min_samples_leaf=0.9))
         assert len(model.leaves) == 1
-        assert isinstance(model.root, Leaf)
+        assert model.tree.feature.tolist() == [-1]
 
     def test_forty_percent_two_leaves(self, iris):
         model = learn(iris, LearnerConfig(min_samples_leaf=0.4))
@@ -236,13 +235,13 @@ class TestLearn:
         v1 = Variable("v1", "symbolic", ("a", "b"))
         values = np.array([[0, 0], [0, 0], [1, 1], [1, 1]], dtype=float)
         model = learn(Dataset((v0, v1), values), LearnerConfig(min_samples_leaf=1))
-        assert model.root.criterion.variable.name == "v0"
+        assert model.criterion(0).variable.name == "v0"
 
     def test_threshold_at_midpoint(self):
         schema = (Variable("x", "numeric"), Variable("c", "symbolic", ("a", "b")))
         values = np.array([[1, 0], [2, 0], [8, 1], [9, 1]], dtype=float)
         model = learn(Dataset(schema, values), LearnerConfig(min_samples_leaf=1))
-        assert model.root.criterion.threshold == pytest.approx(5.0)
+        assert model.criterion(0).threshold == pytest.approx(5.0)
 
     def test_min_impurity_improvement_blocks_split(self, iris):
         model = learn(iris, LearnerConfig(min_samples_leaf=0.1,
@@ -268,7 +267,7 @@ class TestDiscriminative:
         schema = (Variable("x", "numeric"), Variable("label", "symbolic", ("n", "p")))
         ds = Dataset(schema, np.column_stack([x, lab]))
         model = learn(ds, LearnerConfig(min_samples_leaf=1, targets=("label",)))
-        assert model.root.criterion.threshold == pytest.approx(2.5)
+        assert model.criterion(0).threshold == pytest.approx(2.5)
         # both children are class-pure, so no further splits happen
         assert len(model.leaves) == 2
         for leaf in model.leaves:
@@ -277,13 +276,7 @@ class TestDiscriminative:
     def test_target_never_split_on(self, iris):
         model = learn(iris, LearnerConfig(min_samples_leaf=0.1,
                                           targets=("species",)))
-        stack, seen = [model.root], set()
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Leaf):
-                continue
-            seen.add(node.criterion.variable.name)
-            stack.extend([node.left, node.right])
+        seen = {model.schema[f].name for f in model.tree.feature if f >= 0}
         assert "species" not in seen
         assert len(model.leaves) >= 3
 
@@ -316,9 +309,10 @@ class TestPartition:
     @staticmethod
     def _check(model: TreeModel, ds: Dataset):
         counts = np.zeros(len(model.leaves))
+        paths = reference_paths(model)
         for row in ds.values:
-            accepting = [l.index for l in model.leaves
-                         if accepts_row(l, model.schema, row)]
+            accepting = [k for k, path in enumerate(paths)
+                         if accepts_row(path, model.schema, row)]
             assert len(accepting) == 1
             leaf = model.descend(row)
             assert leaf.index == accepting[0]
@@ -333,13 +327,13 @@ class TestPaths:
     def test_nodes_in_preorder_left_first(self, iris):
         # leaf indices and the model file's node order depend on it
         model = learn(iris, LearnerConfig(min_samples_leaf=0.05))
-        seen, stack = [], [model.root]
+        t, seen, stack = model.tree, [], [0]
         while stack:
-            node = stack.pop()
-            if isinstance(node, DecisionNode):
-                stack += node.right, node.left
+            i = stack.pop()
+            if t.feature[i] >= 0:
+                stack += t.right[i], t.left[i]
             else:
-                seen.append(node.index)
+                seen.append(int(t.leaf[i]))
         assert seen == list(range(len(model.leaves))) and len(seen) > 5
         nodes = json.loads(dumps(model))["nodes"]
         splits = [(i, n) for i, n in enumerate(nodes) if n["type"] == "split"]
@@ -352,19 +346,20 @@ class TestPaths:
         values = np.concatenate([rng.normal(0, 1, 50), rng.normal(10, 1, 50)])
         ds = Dataset(schema, values.reshape(-1, 1))
         model = learn(ds, LearnerConfig(min_samples_leaf=0.3))
-        crit = model.root.criterion
+        crit, t = model.criterion(0), model.tree
         assert crit.kind == THRESHOLD
-        left, right = model.root.left, model.root.right
-        while not isinstance(left, Leaf):
-            left = left.left
-        while not isinstance(right, Leaf):
-            right = right.right
-        liv, riv = left.path["x"], right.path["x"]
+        left, right = t.left[0], t.right[0]
+        while t.feature[left] >= 0:
+            left = t.left[left]
+        while t.feature[right] >= 0:
+            right = t.right[right]
+        paths = reference_paths(model)
+        liv, riv = paths[t.leaf[left]]["x"], paths[t.leaf[right]]["x"]
         assert liv.contains(crit.threshold) and liv.upper <= crit.threshold
         assert not riv.contains(crit.threshold) and riv.lower >= crit.threshold
 
     def test_symbolic_paths_partition_domain(self, iris_model):
-        species_sets = [l.path.get("species") for l in iris_model.leaves]
+        species_sets = [path.get("species") for path in reference_paths(iris_model)]
         if all(s is None for s in species_sets):
             pytest.skip("no symbolic split in this tree")
         full = frozenset(range(3))

@@ -17,6 +17,8 @@ from probtree import (Dirac, Interval, LearnerConfig, ModelFormatError, Piecewis
                       cli, dumps, event_probability, export_dot, learn, leaf_posterior, load,
                       loads, make_assignment, posterior_distributions, save)
 
+from conftest import assert_regions_match_the_walk, reference_paths
+
 
 class TestRoundTrip:
     def test_structure_preserved(self, iris_model):
@@ -31,9 +33,8 @@ class TestRoundTrip:
 
     def test_paths_recomputed(self, iris_model):
         back = loads(dumps(iris_model))
-        for a, b in zip(back.leaves, iris_model.leaves):
-            assert set(a.path) == set(b.path)
-            assert a.path == b.path
+        assert reference_paths(back) == reference_paths(iris_model)
+        assert_regions_match_the_walk(back)
 
     def test_query_replay(self, iris_model, toy_hybrid_model):
         for model in (iris_model, toy_hybrid_model):
@@ -153,12 +154,10 @@ class TestDot:
 
     def test_criterion_labels_present(self, iris_model):
         text = export_dot(iris_model)
-        stack = [iris_model.root]
-        while stack:
-            node = stack.pop()
-            if hasattr(node, "criterion"):
-                assert node.criterion.variable.name in text
-                stack.extend([node.left, node.right])
+        splits = np.flatnonzero(iris_model.tree.feature >= 0)
+        assert splits.size
+        for i in splits:
+            assert f'"{iris_model.criterion(i).label()}"' in text
 
 
 def small_model_doc():
@@ -426,14 +425,18 @@ class TestDeepChain:
         text = dumps(model)
         again = loads(text)
         assert dumps(again) == text
-        assert [leaf.path for leaf in again.leaves] == [leaf.path for leaf in model.leaves]
+        paths = reference_paths(model)
+        assert reference_paths(again) == paths
         # the shallowest leaf is the right child of the root, the deepest two
         # lie below all 1200 splits
-        assert model.leaves[0].path["x"] == Interval(1200, math.inf, True, True)
-        assert model.leaves[1200].path["x"] == Interval(-math.inf, 1, True, False)
+        assert paths[0]["x"] == Interval(1200, math.inf, True, True)
+        assert paths[1200]["x"] == Interval(-math.inf, 1, True, False)
         lines = export_dot(again).splitlines()
         assert sum(" -> " in line for line in lines) == 2400
         assert sum("[label=" in line and " -> " not in line for line in lines) == 2401
+
+    def test_regions_match_the_walk(self):
+        assert_regions_match_the_walk(loads(json.dumps(deep_chain_doc())))
 
     def test_cli_commands(self, tmp_path, capsys):
         path = tmp_path / "chain.json"

@@ -1,28 +1,30 @@
 """A model is node arrays and one packed leaf store.
 
 ``model_io.loads`` fills the tree's arrays and the leaf table straight from
-the document: it builds no tree node, leaf, path interval or distribution
-object, and the leaf table reads no leaf object. ``model.root``,
-``model.leaves`` and their paths and distributions are views built when
-first read. These tests keep it that way, by construction counts, by what a
-loaded model holds, and by reading the source.
+the document: it builds no leaf, path interval or distribution object, and
+the leaf table reads no leaf object. ``model.leaves`` and their
+distributions are views built when first read. These tests keep it that
+way, by construction counts, by what a loaded model holds, and by reading
+the source. They also check the leaf table's path regions against the
+reference walk of ``conftest.reference_paths``.
 """
 
 import ast
 import gc
-import math
 import pathlib
 import types
 
 import pytest
 
-from probtree import (DecisionNode, Interval, Leaf, LearnerConfig, Multinomial,
-                      PiecewiseLinearCDF, dumps, learn, loads)
-from probtree.learner import THRESHOLD
+from probtree import (Interval, Leaf, LearnerConfig, Multinomial, PiecewiseLinearCDF, dumps,
+                      learn, loads)
+
+from conftest import assert_regions_match_the_walk, reference_paths
+from test_inference import REFERENCE_MODELS
 
 LEAFTABLE = (pathlib.Path(__file__).resolve().parent.parent
              / "src" / "probtree" / "leaftable.py")
-OBJECTS = (Leaf, DecisionNode, Interval, PiecewiseLinearCDF, Multinomial)
+OBJECTS = (Leaf, Interval, PiecewiseLinearCDF, Multinomial)
 
 
 def held_objects(root) -> list[str]:
@@ -52,7 +54,7 @@ def test_loads_builds_no_tree_leaf_or_distribution_objects(iris, monkeypatch):
     assert built == []
     assert held_objects(model) == []
     monkeypatch.undo()
-    assert len(model.leaves) == 15 and isinstance(model.root, DecisionNode)
+    assert len(model.leaves) == 15 and model.tree.feature[0] >= 0
 
 
 def test_dumps_writes_from_the_store(iris):
@@ -78,36 +80,20 @@ def test_detects_a_leaf_object_read():
                            {"distributions", "path"}) == ["path:2", "distributions:2"]
 
 
-def reference_paths(root) -> dict:
-    """Each leaf's path by index, intersected down from the root's
-    DecisionNode objects: the rule the node-array pass must match."""
-    out, stack = {}, [(root, {})]
-    while stack:
-        node, path = stack.pop()
-        if isinstance(node, Leaf):
-            out[node.index] = path
-            continue
-        crit, var = node.criterion, node.criterion.variable
-        if crit.kind == THRESHOLD:
-            prev = path.get(var.name, Interval(-math.inf, math.inf, True, True))
-            left = prev.intersect(Interval(-math.inf, crit.threshold, lower_open=True))
-            right = prev.intersect(Interval(crit.threshold, math.inf, True, True))
-        else:
-            prev = path.get(var.name, frozenset(range(len(var.domain))))
-            left = prev & frozenset([crit.value_index])
-            right = prev - left
-        stack += (node.right, {**path, var.name: right}), (node.left, {**path, var.name: left})
-    return out
-
-
 @pytest.mark.parametrize("fraction", [0.2, 0.05, 0.01])
 def test_loaded_leaves_equal_the_learnt_ones(iris, fraction):
     model = learn(iris, LearnerConfig(min_samples_leaf=fraction))
     loaded = loads(dumps(model))
     assert len(loaded.leaves) == len(model.leaves) > 1
-    expected = reference_paths(model.root)
+    assert_regions_match_the_walk(model)
+    assert_regions_match_the_walk(loaded)
+    assert reference_paths(loaded) == reference_paths(model)
     for a, b in zip(loaded.leaves, model.leaves):
         assert a.index == b.index
-        assert a.path == b.path == expected[b.index]
         assert a.distributions == b.distributions
         assert (a.prior, a.sample_count) == (b.prior, b.sample_count)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
+def test_reference_model_regions_match_the_walk(name):
+    assert_regions_match_the_walk(REFERENCE_MODELS[name]())
