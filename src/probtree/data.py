@@ -6,6 +6,7 @@ import contextlib
 import csv
 import json
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 
@@ -155,9 +156,11 @@ def make_assignment(schema, constraints: dict) -> Assignment:
             if isinstance(spec, Interval):
                 iv = spec
             elif isinstance(spec, (tuple, list)):
-                iv = Interval(float(spec[0]), float(spec[1]))
+                if len(spec) != 2:
+                    raise AssignmentError(f"bounds for {name!r} must be a pair, got {spec!r}")
+                iv = Interval(_bound(name, spec[0]), _bound(name, spec[1]))
             else:
-                iv = Interval(float(spec), float(spec))
+                iv = Interval(_bound(name, spec), _bound(name, spec))
             if iv.lower_open or iv.upper_open:
                 raise AssignmentError(f"open interval bounds for {name!r} are not supported")
             if iv.lower > iv.upper:
@@ -172,6 +175,18 @@ def make_assignment(schema, constraints: dict) -> Assignment:
                 raise AssignmentError(f"empty value set for {name!r}")
             out[name] = frozenset(_domain_index(var, v) for v in labels)
     return out
+
+
+def _bound(name: str, value) -> float:
+    """A numeric constraint value: a real number but a bool, or a string of one."""
+    if isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    elif isinstance(value, str) and (v := _read_number(value)) is not None:
+        return v
+    raise AssignmentError(f"expected a finite number for {name!r}, got {value!r}")
 
 
 def _domain_index(var: Variable, label: str) -> int:
@@ -337,13 +352,17 @@ def ingest_csv(path, schema_override: dict | None = None) -> Dataset:
         raise DataError(f"{path}: duplicate column names in header")
     if not rows:
         raise DataError(f"{path}: no data rows")
+    # the first row that is ragged or has an empty cell; in a row, the length first
     ncol = len(header)
-    for i, row in enumerate(rows):
-        if len(row) != ncol:
-            raise DataError(f"{path}: row {i + 2} has {len(row)} cells, expected {ncol}")
-        for j, cell in enumerate(row):
-            if cell == "":
-                raise DataError(f"{path}: missing value in row {i + 2}, column {header[j]!r}")
+    ragged = next((i for i, n in enumerate(map(len, rows)) if n != ncol), len(rows))
+    columns = list(zip(*rows[:ragged]))
+    empty = min(((c.index(""), j) for j, c in enumerate(columns) if "" in c), default=None)
+    if empty is not None:
+        raise DataError(f"{path}: missing value in row {empty[0] + 2}, "
+                        f"column {header[empty[1]]!r}")
+    if ragged < len(rows):
+        raise DataError(f"{path}: row {ragged + 2} has {len(rows[ragged])} cells, "
+                        f"expected {ncol}")
 
     override = dict(schema_override or {})
     for name, kind in override.items():
@@ -353,24 +372,20 @@ def ingest_csv(path, schema_override: dict | None = None) -> Dataset:
             raise DataError(f"schema override for {name!r} must be 'numeric' or 'symbolic'")
 
     schema = []
-    columns = []
-    for j, name in enumerate(header):
-        cells = [row[j] for row in rows]
-        parsed = [_read_number(c) for c in cells]
-        all_numeric = all(v is not None for v in parsed)
-        kind = override.get(name, NUMERIC if all_numeric else SYMBOLIC)
+    for j, (name, cells) in enumerate(zip(header, columns)):
+        numbers = _read_numbers(cells)
+        kind = override.get(name, SYMBOLIC if numbers is None else NUMERIC)
         if kind == NUMERIC:
-            if not all_numeric:
-                bad = cells[next(i for i, v in enumerate(parsed) if v is None)]
+            if numbers is None:
+                bad = next(c for c in cells if _read_number(c) is None)
                 raise DataError(f"column {name!r} declared numeric but cell {bad!r} does not parse")
             schema.append(Variable(name, NUMERIC))
-            columns.append(np.array(parsed, dtype=float))
+            columns[j] = numbers
         else:
             domain = tuple(sorted(set(cells)))
-            var = Variable(name, SYMBOLIC, domain)
-            schema.append(var)
+            schema.append(Variable(name, SYMBOLIC, domain))
             index = {lab: k for k, lab in enumerate(domain)}
-            columns.append(np.array([index[c] for c in cells], dtype=float))
+            columns[j] = np.fromiter(map(index.__getitem__, cells), float, len(cells))
     return Dataset(tuple(schema), np.column_stack(columns))
 
 
@@ -381,12 +396,10 @@ def emit_csv(dataset: Dataset, out) -> None:
           else open(out, "w", newline="", encoding="utf-8")) as fh:
         writer = csv.writer(fh)
         writer.writerow([v.name for v in dataset.schema])
-        for i in range(len(dataset)):
-            row = []
-            for j, var in enumerate(dataset.schema):
-                cell = dataset.values[i, j]
-                row.append(var.domain[int(cell)] if var.symbolic else repr(float(cell)))
-            writer.writerow(row)
+        columns = [list(map(var.domain.__getitem__, col.astype(np.intp).tolist()))
+                   if var.symbolic else list(map(repr, col.tolist()))
+                   for var, col in zip(dataset.schema, dataset.values.T)]
+        writer.writerows(zip(*columns) if columns else [()] * len(dataset))
 
 
 def load_schema_override(path) -> dict:
@@ -403,14 +416,21 @@ def is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _read_number(text: str) -> float | None:
-    """The finite decimal number that ``text`` spells, or None. ``float``
-    also reads digits grouped by underscores (``1_0`` as 10), which no CSV
-    cell or constraint means, so those are not numbers here."""
-    if "_" in text:
+def _read_numbers(texts) -> np.ndarray | None:
+    """The finite decimal numbers that the strings ``texts`` spell, or None
+    if one of them spells none. ``float`` also reads digits grouped by
+    underscores (``1_0`` as 10), which no CSV cell or constraint means, so
+    those are not numbers here."""
+    if "_" in "".join(texts):
         return None
     try:
-        v = float(text)
+        numbers = np.fromiter(map(float, texts), float, len(texts))
     except ValueError:
         return None
-    return v if math.isfinite(v) else None
+    return numbers if np.isfinite(numbers).all() else None
+
+
+def _read_number(text: str) -> float | None:
+    """The finite decimal number that ``text`` spells, or None."""
+    numbers = _read_numbers([text])
+    return None if numbers is None else float(numbers[0])

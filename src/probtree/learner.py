@@ -23,6 +23,7 @@ from .multinomial import Multinomial, entropy_rel, packed_histograms
 from .plcdf import build_quantile_dataset, cdf_learn, packed_cdfs
 
 _PURE = 1e-12  # impurity at or below this counts as zero
+_BLOCK = 4096  # boundaries scored at once by the numeric split search
 
 THRESHOLD = "threshold"
 EQUALS = "equals"
@@ -245,11 +246,11 @@ class _Stats(NamedTuple):
     """Sufficient statistics of B row sets over the impurity scope."""
 
     w: np.ndarray   # (B,) total weight
-    counts: dict    # symbolic scope column -> (B, k) weighted class counts
+    counts: dict    # symbolic scope column -> (k, B) weighted class counts
     sums: dict      # numeric scope column -> ((B,) sum w*x, (B,) sum w*x*x)
 
     def map(self, f) -> "_Stats":
-        """Apply the same row-wise operation ``f`` to every statistic."""
+        """Apply the same operation ``f`` on the row-set axis (the last) to every statistic."""
         return _Stats(f(self.w), {j: f(c) for j, c in self.counts.items()},
                       {j: (f(s1), f(s2)) for j, (s1, s2) in self.sums.items()})
 
@@ -270,7 +271,7 @@ class _Scope:
         self.sym = [j for j in scope_indices if schema[j].symbolic]
         self.num = [j for j in scope_indices if schema[j].numeric]
         node = self.grouped(np.zeros(len(weights), dtype=np.intp), 1)
-        self.parent_h = {j: float(entropy_rel(c[0])) for j, c in node.counts.items()}
+        self.parent_h = {j: float(entropy_rel(c[:, 0])) for j, c in node.counts.items()}
         self.parent_mse = {j: _weighted_mse(values[:, j], weights) for j in self.num}
 
     def grouped(self, groups: np.ndarray, n: int) -> _Stats:
@@ -279,14 +280,27 @@ class _Scope:
         counts = {}
         for j in self.sym:
             k = len(self.schema[j].domain)
-            cell = groups * k + self.values[:, j].astype(np.intp)
-            counts[j] = np.bincount(cell, weights=w, minlength=n * k).reshape(n, k)
+            cell = self.values[:, j].astype(np.intp) * n + groups
+            counts[j] = np.bincount(cell, weights=w, minlength=k * n).reshape(k, n)
         sums = {}
         for j in self.num:
             wx = w * self.values[:, j]
             sums[j] = (np.bincount(groups, weights=wx, minlength=n),
                        np.bincount(groups, weights=wx * self.values[:, j], minlength=n))
         return _Stats(np.bincount(groups, weights=w, minlength=n), counts, sums)
+
+    def ordered(self, order: np.ndarray) -> _Stats:
+        """Statistics of each row on its own, the rows in the order ``order``."""
+        w = self.weights[order]
+        counts, sums = {}, {}
+        for j in self.sym:
+            c = counts[j] = np.zeros((len(self.schema[j].domain), len(w)))
+            c[self.values[order, j].astype(np.intp), np.arange(len(w))] = w
+        for j in self.num:
+            x = self.values[order, j]
+            wx = w * x
+            sums[j] = (wx, wx * x)
+        return _Stats(w, counts, sums)
 
     def all_pure(self) -> bool:
         return (all(h <= _PURE for h in self.parent_h.values())
@@ -340,7 +354,7 @@ def impurity_improvement(data: Dataset, candidate: SplitCriterion,
         raise DataError("candidate split leaves one side empty")
     sc = _Scope(data.schema, scope_idx, data.values, data.weights)
     sides = sc.grouped((~left).astype(np.intp), 2)
-    return float(sc.score(sides.map(lambda a: a[:1]), sides.map(lambda a: a[1:]),
+    return float(sc.score(sides.map(lambda a: a[..., :1]), sides.map(lambda a: a[..., 1:]),
                           sc.total)[0])
 
 
@@ -361,14 +375,16 @@ def _best_numeric_split(scope: _Scope, j: int, min_weight: float):
                         & (total - cw[boundary] >= min_weight)]
     if boundary.size == 0:
         return None
-    # one group per row in sorted order, summed up: row i of ``prefix``
-    # holds the statistics of the i + 1 smallest values
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    prefix = scope.grouped(rank, len(order)).map(lambda a: np.cumsum(a, axis=0, out=a))
-    left, last = prefix.map(lambda a: a[boundary]), prefix.map(lambda a: a[[-1]])
-    del prefix  # free the per-row sums before the right sides are built
-    improvement = scope.score(left, last - left, total)
+    # entry i of ``prefix`` holds the statistics of the i + 1 smallest
+    # values; blocks of boundaries are scored in turn, so that the
+    # temporaries of the scorer stay small
+    prefix = scope.ordered(order).map(lambda a: np.cumsum(a, axis=-1, out=a))
+    last = prefix.map(lambda a: a[..., -1:])
+    scores = []
+    for start in range(0, boundary.size, _BLOCK):
+        left = prefix.map(lambda a: a[..., boundary[start:start + _BLOCK]])
+        scores.append(scope.score(left, last - left, total))
+    improvement = np.concatenate(scores)
     k = int(np.argmax(improvement))  # ties keep the lowest position index
     pos = boundary[k]
     threshold = (vs[pos] + vs[pos + 1]) / 2.0
@@ -382,15 +398,15 @@ def _best_symbolic_split(scope: _Scope, j: int, min_weight: float):
     rows, so ``min_weight`` (at least 1) rules it out."""
     k = len(scope.schema[j].domain)
     by_value = scope.grouped(scope.values[:, j].astype(np.intp), k)
-    # each value's rest is the sum of the other values' groups rather than
-    # the node minus the value, so two values that split the rows alike tie
-    # exactly and the lower index wins
-    rest = by_value.map(lambda a: (1.0 - np.eye(k)) @ a)
+    # each value's rest is the sum of the other values' groups, not the node
+    # minus the value, so two values that split the rows alike tie exactly
+    # (the lower index wins); the product keeps its [value, label] layout, and bits
+    rest = by_value.map(lambda a: ((1.0 - np.eye(k)) @ a.T.copy()).T)
     values = np.flatnonzero((by_value.w >= min_weight) & (rest.w >= min_weight))
     if values.size == 0:
         return None
-    improvement = scope.score(by_value.map(lambda a: a[values]),
-                              rest.map(lambda a: a[values]), scope.total)
+    improvement = scope.score(by_value.map(lambda a: a[..., values]),
+                              rest.map(lambda a: a[..., values]), scope.total)
     i = int(np.argmax(improvement))  # ties keep the lowest value index
     return float(improvement[i]), SplitCriterion(scope.schema[j], EQUALS,
                                                  value_index=int(values[i]))

@@ -11,17 +11,23 @@ from .plcdf import ColumnError, DistributionError, number_table
 
 
 def entropy_rel(counts) -> np.ndarray:
-    """Entropy of each row of ``counts`` (shape ``(..., k)``) divided by
-    ``log k``; an all-zero row and a single-value domain count as pure (0)."""
+    """Entropy of each column of the non-negative ``counts``, shape ``(k, ...)``
+    with one row per label, divided by ``log k``; an all-zero column and a
+    single-value domain count as pure (0)."""
     counts = np.asarray(counts, dtype=float)
-    k = counts.shape[-1]
+    k = len(counts)
     if k <= 1:
-        return np.zeros(counts.shape[:-1])
-    totals = counts.sum(axis=-1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = np.where(totals > 0, counts / totals, 0.0)
-        logp = np.where(p > 0, np.log(p), 0.0)
-    return -(p * logp).sum(axis=-1) / math.log(k)
+        return np.zeros(counts.shape[1:])
+    def add(a):
+        # numpy sums a contiguous axis in sequence below 8 terms and pairwise
+        # from 8 on; the label sums keep that order, and so their bits
+        return (a.sum(axis=0) if k < 8
+                else np.ascontiguousarray(np.moveaxis(a, 0, -1)).sum(axis=-1))
+
+    totals = add(counts)
+    p = counts / np.where(totals > 0, totals, 1.0)  # an all-zero column stays 0
+    logp = np.log(np.where(p > 0, p, 1.0))  # 0 where p is: log 1 is 0
+    return -add(p * logp) / math.log(k)
 
 
 class Multinomial:

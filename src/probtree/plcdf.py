@@ -374,19 +374,18 @@ def packed_cdfs(x, F, first, last) -> list[PiecewiseLinearCDF]:
 
 def _chord_sse(prefix, a: int, b: int, d: np.ndarray, g: np.ndarray):
     """Sum of squared residuals of points a..b against the line through
-    the endpoint points, for a vector of (a, b) pairs or scalars."""
-    s1, sd, sg, sd2, sdg, sg2 = prefix
+    the endpoint points, and their number, for a vector of (a, b) pairs or
+    scalars; ``prefix`` holds the sums of d, g, d², dg and g² up to each point."""
     n = b - a + 1
-    S_g2 = sg2[b + 1] - sg2[a]
-    S_dg = sdg[b + 1] - sdg[a]
-    S_g = sg[b + 1] - sg[a]
-    S_d2 = sd2[b + 1] - sd2[a]
-    S_d = sd[b + 1] - sd[a]
+    b1 = b + 1
+    S_d, S_g, S_d2, S_dg, S_g2 = (p[b1] - p[a] for p in prefix)
+    da, ga = d[a], g[a]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        m = (g[b] - g[a]) / (d[b] - d[a])
-        c = g[a] - m * d[a]
-        sse = (S_g2 - 2.0 * m * S_dg - 2.0 * c * S_g
-               + m * m * S_d2 + 2.0 * m * c * S_d + c * c * n)
+        m = (g[b] - ga) / (d[b] - da)
+        c = ga - m * da
+        m2 = 2.0 * m
+        sse = (S_g2 - m2 * S_dg - 2.0 * c * S_g
+               + m * m * S_d2 + m2 * c * S_d + c * c * n)
     # near-coincident abscissae can overflow the closed form; such chords
     # are certainly bad fits, so score them as infinitely costly
     return np.where(np.isfinite(sse), np.maximum(sse, 0.0), np.inf), n
@@ -416,28 +415,26 @@ def cdf_learn(points, epsilon: float) -> PiecewiseLinearCDF:
     if np.any(np.diff(g) <= 0) or g[-1] != 1.0:
         raise DistributionError("quantiles must be strictly increasing and end at 1")
 
-    ones = np.ones_like(d)
     prefix = tuple(np.concatenate(([0.0], np.cumsum(arr)))
-                   for arr in (ones, d, g, d * d, d * g, g * g))
+                   for arr in (d, g, d * d, d * g, g * g))
 
-    hinges = {0, len(d) - 1}
-    stack = [(0, len(d) - 1)]
+    # each segment goes on the stack with its own chord SSE, which the scan
+    # of its parent has computed as one of that candidate's two sides
+    last = len(d) - 1
+    hinges = {0, last}
+    stack = [(0, last, _chord_sse(prefix, 0, last, d, g)[0])]
     while stack:
-        a, b = stack.pop()
-        n = b - a + 1
-        if n < 3:
-            continue
-        sse, _ = _chord_sse(prefix, a, b, d, g)
-        if sse < epsilon:
+        a, b, sse = stack.pop()
+        if b - a < 2 or sse < epsilon:
             continue
         cand = np.arange(a + 1, b)
-        sse_l, n_l = _chord_sse(prefix, np.full_like(cand, a), cand, d, g)
-        sse_r, n_r = _chord_sse(prefix, cand, np.full_like(cand, b), d, g)
-        emse = (sse_l + sse_r) / (n_l + n_r)
-        i = int(cand[np.argmin(emse)])  # argmin keeps the smallest index on ties
-        hinges.add(i)
-        stack.append((i, b))
-        stack.append((a, i))
+        m = len(cand)
+        sse, n = _chord_sse(prefix, np.concatenate((np.full_like(cand, a), cand)),
+                            np.concatenate((cand, np.full_like(cand, b))), d, g)
+        emse = (sse[:m] + sse[m:]) / (n[:m] + n[m:])
+        i = int(np.argmin(emse))  # argmin keeps the smallest index on ties
+        hinges.add(a + 1 + i)
+        stack += (a + 1 + i, b, sse[m + i]), (a, a + 1 + i, sse[i])
 
     idx = sorted(hinges)
     return PiecewiseLinearCDF(np.column_stack([d[idx], g[idx]]))

@@ -1,8 +1,15 @@
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from probtree import (AssignmentError, DataError, Dataset, Interval, Variable,
                       emit_csv, ingest_csv, make_assignment, parse_assignment)
+
+from reference_train import reference_emit_csv, reference_ingest_csv
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -81,6 +88,15 @@ class TestIngest:
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(DataError):
             ingest_csv(tmp_path / "nope.csv")
+
+    def test_first_fault_in_file_order(self, tmp_path):
+        # the first row that is ragged or has an empty cell; in one row, the length
+        for text, want in [("a,b\n1,2\n,2\n1\n", "missing value in row 3, column 'a'"),
+                           ("a,b\n1,2\n1\n,2\n", "row 3 has 1 cells"),
+                           ("a,b\n1,\n,2\n", "missing value in row 2, column 'b'"),
+                           ("a,b\n1,2\n,2,\n", "row 3 has 3 cells")]:
+            with pytest.raises(DataError, match=want):
+                ingest_csv(write_csv(tmp_path, text))
 
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -183,6 +199,35 @@ class TestMakeAssignment:
         with pytest.raises(AssignmentError):
             make_assignment(SCHEMA, {"x": (0, np.inf)})
 
+    @pytest.mark.parametrize("spec", [
+        "1_0",              # float() reads 10
+        ("1_0", " 2_0 "),   # float() reads [10, 20]
+        True,               # float() reads the point 1
+        (0, True),
+        None,
+        "abc",              # float() raises a bare ValueError
+        [1.0, "x"],
+        b"1",
+        10 ** 400,          # float() raises OverflowError
+        (1,),               # an IndexError
+        (1, 2, 3),          # the 3 was dropped
+        (),
+    ])
+    def test_rejected_numeric_values_name_the_variable(self, spec):
+        with pytest.raises(AssignmentError, match="'x'"):
+            make_assignment(SCHEMA, {"x": spec})
+
+    @pytest.mark.parametrize("spec, want", [
+        (" 2.5 ", Interval(2.5, 2.5)),
+        (("-1", "1e3"), Interval(-1.0, 1000.0)),
+        ([np.float64(0.5), np.int64(2)], Interval(0.5, 2.0)),
+        (2, Interval(2.0, 2.0)),
+        (Interval(1.0, 2.0), Interval(1.0, 2.0)),
+    ])
+    def test_numbers_and_number_strings(self, spec, want):
+        got = make_assignment(SCHEMA, {"x": spec})["x"]
+        assert got == want and type(got.lower) is float and type(got.upper) is float
+
 
 class TestInterval:
     def test_intersection_open_bounds(self):
@@ -194,3 +239,119 @@ class TestInterval:
         iv = Interval(0.0, 1.0, lower_open=True)
         assert not iv.contains(0.0)
         assert iv.contains(1.0)
+
+
+# -- the column-wise reader and writer against the row-by-row ones ---------------
+
+CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["", " ", " 1.5 ", "\t-2\t", "1_0", "_", "nan", "NaN", "-inf", "inf",
+                     "1e400", "-1e-400", "-0.0", "5e-324", "0x10", "\u0661\u0662", "1,5",
+                     "a", "b", "a\nb", '"', "\ufeff"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=3))
+# cells that all but spell a number, so that whole columns come out numeric
+NUMBERISH = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                      st.sampled_from([" 1 ", "\t2", "-0.0", "1e5", "nan", "inf", "-inf",
+                                       "1e400", "1_0", "5e-324"]))
+NAMES = ["a", "b", "c", "a ", ""]
+
+
+def read_both(path, override):
+    """``(result, DataError message)`` of each reader."""
+    out = []
+    for read in (ingest_csv, reference_ingest_csv):
+        try:
+            out.append((read(path, override), None))
+        except DataError as exc:
+            out.append((None, str(exc)))
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@example(header=["a", "b"], rows=[["1", "x"], ["1"], ["", "y"]], quoted=False, bom=False,
+         override=None)
+@example(header=["a", "b"], rows=[["1", "x"], ["", "y"], ["1"]], quoted=False, bom=False,
+         override=None)
+@example(header=["a", "b"], rows=[["1", "x"], ["", "y", "z"]], quoted=False, bom=True,
+         override=None)
+@example(header=["a", "b"], rows=[["1", ""], ["", "2"]], quoted=False, bom=False,
+         override=None)
+@example(header=["a", "b"], rows=[["1", "nan"], ["2", "3"]], quoted=False, bom=False,
+         override=None)
+@example(header=["a", "b"], rows=[["1e400", "1"], ["2", "3"]], quoted=False, bom=False,
+         override={"b": "symbolic"})
+@example(header=["a", "a"], rows=[["1", "2"]], quoted=False, bom=False, override=None)
+@example(header=["a", "b"], rows=[[" 1 ", "1_0"], ["2", "2"]], quoted=False, bom=False,
+         override={"a": "symbolic", "b": "numeric"})
+@example(header=["a", "b"], rows=[["1", "x,y"], ["2", "p\nq"]], quoted=True, bom=True,
+         override={"b": "symbolic", "a": "numeric"})
+@given(header=st.lists(st.sampled_from(NAMES), min_size=1, max_size=4),
+       rows=st.sampled_from([CELLS, NUMBERISH]).flatmap(
+           lambda cells: st.lists(st.lists(cells, max_size=4), max_size=6)),
+       quoted=st.booleans(),
+       bom=st.booleans(),
+       override=st.none() | st.dictionaries(st.sampled_from(NAMES + ["z"]),
+                                             st.sampled_from(["numeric", "symbolic", "text"]),
+                                             max_size=2))
+def test_ingest_matches_the_row_by_row_reader(tmp_path_factory, header, rows, quoted, bom,
+                                              override):
+    """Both readers give the same schema and the same value bits, or the same
+    error message."""
+    if quoted:
+        buf = io.StringIO()
+        csv.writer(buf).writerows([header] + rows)
+        text = buf.getvalue()
+    else:
+        text = "".join(",".join(row) + "\n" for row in [header] + rows)
+    path = tmp_path_factory.mktemp("ingest") / "data.csv"
+    path.write_bytes(("\ufeff" if bom else "").encode() + text.encode())
+    (got, got_error), (want, want_error) = read_both(path, override)
+    assert got_error == want_error
+    if want is not None:
+        assert got.schema == want.schema
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.weights.tobytes() == want.weights.tobytes()
+
+
+class TestEmitCsv:
+    """The column-wise writer against the per-cell one, byte for byte."""
+
+    LABELS = ("plain", "a,b", 'say "hi"', "two\nlines", " padded ", "", "\u00e9t\u00e9", "x\ry")
+
+    def emitted(self, ds):
+        got, want = io.StringIO(), io.StringIO()
+        emit_csv(ds, got)
+        reference_emit_csv(ds, want)
+        return got.getvalue(), want.getvalue()
+
+    def test_awkward_numbers_and_labels(self):
+        x = np.array([-0.0, 0.0, 1e-300, 5e-324, 2.2250738585072014e-308 / 3, 3.0, -7.0,
+                      1e16, 2.0 ** 53 + 2, 0.1, 1 / 3, -1.5e-7, 1e300, 123456789.0, 1e22, 1e23])
+        n = len(x)
+        schema = (Variable("x", "numeric"), Variable("c", "symbolic", self.LABELS),
+                  Variable("na,me", "numeric"))
+        codes = np.arange(n) % len(self.LABELS)
+        ds = Dataset(schema, np.column_stack([x, codes, x[::-1]]))
+        got, want = self.emitted(ds)
+        assert got == want
+        assert "-0.0" in got and "5e-324" in got and '"a,b"' in got
+
+    def test_random_dataset_and_a_path(self, tmp_path):
+        rng = np.random.default_rng(5)
+        n = 500
+        schema = (Variable("s", "symbolic", self.LABELS), Variable("x", "numeric"),
+                  Variable("w", "numeric"))
+        values = np.column_stack([rng.integers(0, len(self.LABELS), n),
+                                  rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+                                  np.round(rng.normal(0, 100, n))])
+        ds = Dataset(schema, values)
+        got, want = self.emitted(ds)
+        assert got == want
+        emit_csv(ds, tmp_path / "out.csv")
+        assert (tmp_path / "out.csv").read_bytes() == want.encode()
+
+    def test_no_rows_and_no_columns(self):
+        schema = (Variable("x", "numeric"), Variable("c", "symbolic", ("a",)))
+        assert len(set(self.emitted(Dataset(schema, np.zeros((0, 2)))))) == 1
+        assert len(set(self.emitted(Dataset((), np.zeros((3, 0)))))) == 1

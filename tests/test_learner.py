@@ -5,10 +5,13 @@ import pytest
 
 from probtree import (DataError, Dataset, Dirac, LearnerConfig, Multinomial, PiecewiseLinearCDF,
                       SplitCriterion, TreeModel, Variable, dumps, impurity_improvement, learn)
+from probtree import learner
+from probtree.multinomial import entropy_rel
 from probtree.learner import (EQUALS, THRESHOLD, _best_numeric_split,
                               _best_symbolic_split, _Scope)
 
 from conftest import accepts_row, random_discrete_dataset, reference_paths
+from reference_train import ReferenceScope, reference_best_numeric_split, reference_entropy_rel
 
 
 def two_symbol_dataset():
@@ -365,3 +368,100 @@ class TestPaths:
         full = frozenset(range(3))
         constrained = [s if s is not None else full for s in species_sets]
         assert frozenset().union(*constrained) == full
+
+
+class TestSearchKeepsTheReferenceBits:
+    """The numeric search gathers prefix statistics in sorted order, keeps
+    class counts label-major and scores boundaries in blocks; the reference
+    scatters one group per row and scores every boundary at once. Both
+    must give the same improvement and threshold, bit for bit."""
+
+    @staticmethod
+    def node(rng, n, labels=(1, 3, 5, 9), weighted=True):
+        schema, cols = [], []
+        for j, spread in enumerate((3.0, 0.5, 0.0)):  # ties, heavy ties, constant
+            schema.append(Variable(f"x{j}", "numeric"))
+            cols.append(np.round(rng.normal(0.0, 2.0, n), 1) if spread == 3.0
+                        else np.round(rng.normal(0.0, 2.0, n) * spread) if spread
+                        else np.full(n, 1.5))
+        for j, k in enumerate(labels):
+            schema.append(Variable(f"s{j}", "symbolic", tuple(f"v{i}" for i in range(k))))
+            # labels that follow x0, so the scores do not all tie
+            cols.append(np.clip((cols[0] + rng.normal(0, 1, n)) * k / 8 + k / 2, 0,
+                                k - 1).astype(int).astype(float))
+        schema.append(Variable("y", "numeric"))
+        cols.append(rng.normal(cols[0] * 0.5, 1.0))
+        weights = rng.uniform(0.1, 3.0, n) if weighted else np.ones(n)
+        return tuple(schema), np.column_stack(cols), weights
+
+    def check(self, schema, values, weights, scope, min_weight):
+        new = _Scope(schema, scope, values, weights)
+        ref = ReferenceScope(schema, scope, values, weights)
+        assert new.parent_h == ref.parent_h
+        checked = 0
+        for j, var in enumerate(schema):
+            if not var.numeric:
+                continue
+            got, want = _best_numeric_split(new, j, min_weight), \
+                reference_best_numeric_split(ref, j, min_weight)
+            assert (got is None) == (want is None), var.name
+            if got is not None:
+                assert (got[0], got[1].threshold) == want, var.name
+                checked += 1
+        return checked
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_nodes(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.choice([40, 700, 3 * learner._BLOCK]))
+        schema, values, weights = self.node(rng, n, weighted=seed % 2 == 0)
+        everything = list(range(len(schema)))
+        targets = [j for j, v in enumerate(schema) if v.symbolic][-2:] + [len(schema) - 1]
+        assert self.check(schema, values, weights, everything, 2.0) > 0
+        assert self.check(schema, values, weights, targets, n / 10) > 0
+
+    def test_eight_labels_and_more(self):
+        # numpy sums 8 terms or more pairwise, 7 or fewer in sequence; the
+        # entropies themselves are compared in the next test
+        rng = np.random.default_rng(7)
+        for k in (7, 8, 9, 12, 31):
+            schema, values, weights = self.node(rng, 2000, labels=(k,))
+            values[:, 0] += rng.uniform(-0.05, 0.05, 2000)
+            assert self.check(schema, values, weights, [3], 1.0) > 0
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 7, 8, 9, 16, 31, 200])
+    def test_entropy_of_label_major_counts(self, k):
+        # the scores above can round a last-bit change of an entropy away,
+        # so the entropies are compared too, on label-major counts and on
+        # the transposed view that the symbolic search passes
+        rng = np.random.default_rng(k)
+        counts = rng.uniform(0, 3, (500, k)) * (rng.random((500, k)) < 0.7)
+        want = reference_entropy_rel(counts)
+        assert np.array_equal(entropy_rel(np.ascontiguousarray(counts.T)), want)
+        assert np.array_equal(entropy_rel(counts.T), want)
+        assert entropy_rel(counts[0]) == want[0]
+
+    def test_more_boundaries_than_one_block(self):
+        rng = np.random.default_rng(11)
+        n = 2 * learner._BLOCK + 500
+        schema, values, weights = self.node(rng, n)
+        values[:, 0] = rng.permutation(n)  # n distinct values, n - 1 boundaries
+        assert self.check(schema, values, weights, list(range(len(schema))), 1.0) > 0
+
+    def test_tie_across_a_block_edge_takes_the_lowest_position(self):
+        # labels A^p B^(n-2p) A^p over x = 0..n-1: cutting after row p or
+        # before row n-p give mirrored sides with the same counts, so the
+        # two scores tie exactly, in blocks 0 and 2
+        n, p = 2 * learner._BLOCK + 100, 50
+        schema = (Variable("x", "numeric"), Variable("c", "symbolic", ("A", "B")))
+        label = np.ones(n)
+        label[:p] = label[-p:] = 0
+        values = np.column_stack([np.arange(n, dtype=float), label])
+        weights = np.ones(n)
+        imp, crit = _best_numeric_split(_Scope(schema, [1], values, weights), 0, 1.0)
+        assert crit.threshold == p - 0.5
+        assert (imp, crit.threshold) == reference_best_numeric_split(
+            ReferenceScope(schema, [1], values, weights), 0, 1.0)
+        mirror = SplitCriterion(schema[0], THRESHOLD, threshold=n - p - 0.5)
+        data = Dataset(schema, values)
+        assert impurity_improvement(data, mirror, ["c"]) == impurity_improvement(data, crit, ["c"])

@@ -13,6 +13,7 @@ from probtree import (Dirac, DistributionError, LearnerConfig,
 from probtree.plcdf import ColumnError, cdfs_from_json, packed_cdfs
 
 from conftest import random_plf
+from reference_train import reference_cdf_learn
 
 UNIFORM = PiecewiseLinearCDF([[0.0, 0.0], [1.0, 1.0]])
 
@@ -102,6 +103,37 @@ class TestCdfLearn:
                 assert res <= prev + 1e-12
             prev = res
         assert prev == pytest.approx(0.0, abs=1e-20)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_same_hinges_as_three_scans_per_hinge(self, seed):
+        # one chord scan per split, with each side's SSE kept for the stop
+        # test of that side, against a scan for the stop test and one per side
+        rng = np.random.default_rng(seed)
+        n = int(rng.choice([2, 3, 7, 60, 800, 4000]))
+        centers = rng.choice([-4.0, 0.0, 1.0, 6.0], n)
+        samples = centers + rng.standard_normal(n) * rng.choice([0.01, 1.0, 3.0])
+        if seed % 3 == 0:
+            samples = np.round(samples, 1)  # ties
+        weights = rng.uniform(0.1, 3.0, n) if seed % 2 else None
+        pts = build_quantile_dataset(samples, weights)
+        for eps in (0.0, 1e-9, 1e-4, 0.01, 0.05, 0.5):
+            got, want = cdf_learn(pts, eps), reference_cdf_learn(pts, eps)
+            assert np.array_equal(got.x, want.x) and np.array_equal(got.F, want.F), eps
+
+    def test_tied_candidates_split_at_the_lowest(self):
+        # a point-symmetric curve: cutting at the second or the fifth point
+        # scores the same, and the second wins
+        pts = (np.arange(6.0), np.array([1.0, 2.0, 3.0, 14.0, 15.0, 16.0]) / 16)
+        for eps in (1e-6, 0.1, 0.15):
+            got, want = cdf_learn(pts, eps), reference_cdf_learn(pts, eps)
+            assert np.array_equal(got.x, want.x) and np.array_equal(got.F, want.F)
+        assert cdf_learn(pts, 0.15).x.tolist() == [0.0, 1.0, 5.0]
+
+    def test_same_hinges_on_near_coincident_values(self):
+        pts = build_quantile_dataset([0.0, 5e-324, 1e-323, 1.0, 1.0 + 2e-16, 2.0, 7.0])
+        for eps in (0.0, 1e-3):
+            got, want = cdf_learn(pts, eps), reference_cdf_learn(pts, eps)
+            assert np.array_equal(got.x, want.x) and np.array_equal(got.F, want.F)
 
     def test_finer_epsilon_better_holdout_likelihood(self):
         from probtree.experiments import GaussianMixture1D

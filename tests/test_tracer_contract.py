@@ -34,8 +34,14 @@ def test_traced_operations_record_nested_calls(iris):
 
         model, calls = calls_of(lambda: pt.learn(iris, pt.LearnerConfig(min_samples_leaf=0.2)))
         assert calls.get("probtree.learn", 0) == 1
-        assert calls.get("learner.cdf_learn", 0) > 0
-        assert calls.get("learner.build_quantile_dataset", 0) > 0
+        # leaf fitting calls each fitter once per leaf and variable, so that
+        # the traced split of learn into leaf fitting and split search holds
+        leaves = len(model.table.prior)
+        numeric = sum(var.numeric for var in model.schema)
+        assert leaves > 1 and 0 < numeric < len(model.schema)
+        assert calls.get("learner.cdf_learn", 0) == leaves * numeric
+        assert calls.get("learner.build_quantile_dataset", 0) == leaves * numeric
+        assert calls.get("Multinomial.fit", 0) == leaves * (len(model.schema) - numeric)
 
         _, calls = calls_of(lambda: pt.log_likelihood(model, iris))
         assert calls.get("probtree.log_likelihood", 0) == 1
