@@ -8,6 +8,7 @@ import json
 import math
 import numbers
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,56 +80,18 @@ class Variable:
 
 @dataclass(frozen=True)
 class Interval:
-    """A real interval, closed by default; open bounds arise from tree paths.
-
-    Infinite bounds are permitted internally (path conditions of the form
-    ``x <= t`` have an unbounded side); user-supplied evidence intervals
-    must be finite.
-    """
+    """The closed real interval [lower, upper]: a constraint on a numeric
+    variable. A point is the interval with ``lower == upper``."""
 
     lower: float
     upper: float
-    lower_open: bool = False
-    upper_open: bool = False
-
-    @property
-    def empty(self) -> bool:
-        if self.lower > self.upper:
-            return True
-        if self.lower == self.upper and (self.lower_open or self.upper_open):
-            return True
-        return False
 
     @property
     def is_point(self) -> bool:
-        return self.lower == self.upper and not self.lower_open and not self.upper_open
-
-    def contains(self, x: float) -> bool:
-        if x < self.lower or (x == self.lower and self.lower_open):
-            return False
-        if x > self.upper or (x == self.upper and self.upper_open):
-            return False
-        return True
-
-    def intersect(self, other: "Interval") -> "Interval":
-        if self.lower > other.lower:
-            lo, lo_open = self.lower, self.lower_open
-        elif self.lower < other.lower:
-            lo, lo_open = other.lower, other.lower_open
-        else:
-            lo, lo_open = self.lower, self.lower_open or other.lower_open
-        if self.upper < other.upper:
-            hi, hi_open = self.upper, self.upper_open
-        elif self.upper > other.upper:
-            hi, hi_open = other.upper, other.upper_open
-        else:
-            hi, hi_open = self.upper, self.upper_open or other.upper_open
-        return Interval(lo, hi, lo_open, hi_open)
+        return self.lower == self.upper
 
     def __str__(self) -> str:
-        lb = "(" if self.lower_open else "["
-        ub = ")" if self.upper_open else "]"
-        return f"{lb}{self.lower:g}, {self.upper:g}{ub}"
+        return f"[{self.lower:g}, {self.upper:g}]"
 
 
 #: A constraint set: variable name -> Interval (numeric) or frozenset of
@@ -143,8 +106,10 @@ def _schema_map(schema) -> dict[str, Variable]:
 def make_assignment(schema, constraints: dict) -> Assignment:
     """Build a validated Assignment from user-level values.
 
-    Numeric constraints may be a number (point), a ``(l, u)`` pair, or a
-    closed Interval. Symbolic constraints may be a label or an iterable of labels.
+    Numeric constraints may be a number (point), a ``(l, u)`` pair, or an
+    Interval, read as its pair of bounds; a bound is a finite real number or
+    a string of one. Symbolic constraints may be a label or an iterable of
+    labels.
     """
     by_name = _schema_map(schema)
     out: Assignment = {}
@@ -154,46 +119,37 @@ def make_assignment(schema, constraints: dict) -> Assignment:
         var = by_name[name]
         if var.numeric:
             if isinstance(spec, Interval):
-                iv = spec
-            elif isinstance(spec, (tuple, list)):
-                if len(spec) != 2:
-                    raise AssignmentError(f"bounds for {name!r} must be a pair, got {spec!r}")
-                iv = Interval(_bound(name, spec[0]), _bound(name, spec[1]))
-            else:
-                iv = Interval(_bound(name, spec), _bound(name, spec))
-            if iv.lower_open or iv.upper_open:
-                raise AssignmentError(f"open interval bounds for {name!r} are not supported")
-            if iv.lower > iv.upper:
-                raise AssignmentError(
-                    f"inverted interval for {name!r}: [{iv.lower:g}, {iv.upper:g}]")
-            if not (math.isfinite(iv.lower) and math.isfinite(iv.upper)):
-                raise AssignmentError(f"evidence interval for {name!r} must be finite")
-            out[name] = iv
+                spec = spec.lower, spec.upper
+            elif not isinstance(spec, (tuple, list)):
+                spec = spec, spec
+            if len(spec) != 2:
+                raise AssignmentError(f"bounds for {name!r} must be a pair, got {spec!r}")
+            lo, hi = _bound(name, spec[0]), _bound(name, spec[1])
+            if lo > hi:
+                raise AssignmentError(f"inverted interval for {name!r}: [{lo:g}, {hi:g}]")
+            out[name] = Interval(lo, hi)
         else:
-            labels = [spec] if isinstance(spec, str) else list(spec)
+            labels = (list(spec) if isinstance(spec, Iterable) and not isinstance(spec, str)
+                      else [spec])
+            if not all(isinstance(v, str) for v in labels):
+                raise AssignmentError(f"expected a label or an iterable of labels for {name!r}, "
+                                      f"got {spec!r}")
             if not labels:
                 raise AssignmentError(f"empty value set for {name!r}")
-            out[name] = frozenset(_domain_index(var, v) for v in labels)
+            try:
+                out[name] = frozenset(map(var.index_of, labels))
+            except DataError as exc:  # a label outside the domain
+                raise AssignmentError(str(exc)) from None
     return out
 
 
 def _bound(name: str, value) -> float:
-    """A numeric constraint value: a real number but a bool, or a string of one."""
-    if isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:  # an int beyond the float range
-            pass
-    elif isinstance(value, str) and (v := _read_number(value)) is not None:
-        return v
-    raise AssignmentError(f"expected a finite number for {name!r}, got {value!r}")
-
-
-def _domain_index(var: Variable, label: str) -> int:
-    try:
-        return var.index_of(label)
-    except DataError as exc:
-        raise AssignmentError(str(exc)) from None
+    """A numeric constraint value: a finite real number but a bool, or a
+    string of one."""
+    v = _read_number(value) if isinstance(value, str) else as_float(value)
+    if v is None or not math.isfinite(v):
+        raise AssignmentError(f"expected a finite number for {name!r}, got {value!r}")
+    return v
 
 
 _STMT_EQ = re.compile(r"^\s*(\w+)\s*=\s*(\S.*?)\s*$")
@@ -202,70 +158,36 @@ _STMT_SET = re.compile(r"^\s*(\w+)\s+in\s+\{\s*(.*?)\s*\}\s*$")
 
 
 def parse_assignment(text: str, schema) -> Assignment:
-    """Parse the constraint grammar ``stmt (';' stmt)*``.
+    """Parse the constraint grammar ``stmt (';' stmt)*`` and build the
+    statements' values with ``make_assignment``.
 
     ``stmt := name '=' value | name 'in' '[' num ',' num ']'
             | name 'in' '{' value (',' value)* '}'``
     """
     by_name = _schema_map(schema)
-    out: Assignment = {}
+    specs = {}
     for raw in text.split(";"):
         stmt = raw.strip()
         if not stmt:
             raise AssignmentError(f"empty statement in {text!r}")
-        m = _STMT_IV.match(stmt)
-        if m:
-            name, lo_s, hi_s = m.groups()
-            var = _lookup(by_name, name)
-            if not var.numeric:
-                raise AssignmentError(f"interval constraint on symbolic variable {name!r}")
-            lo, hi = _parse_num(lo_s), _parse_num(hi_s)
-            if lo > hi:
-                raise AssignmentError(f"inverted interval for {name!r}: [{lo:g}, {hi:g}]")
-            _put(out, name, Interval(lo, hi))
-            continue
-        m = _STMT_SET.match(stmt)
-        if m:
-            name, body = m.groups()
-            var = _lookup(by_name, name)
-            if not var.symbolic:
-                raise AssignmentError(f"value-set constraint on numeric variable {name!r}")
-            labels = [tok.strip() for tok in body.split(",")]
-            if any(not tok for tok in labels):
+        if m := _STMT_IV.match(stmt):
+            name, spec, kind = m[1], m.groups()[1:], NUMERIC
+        elif m := _STMT_SET.match(stmt):
+            name, spec, kind = m[1], [tok.strip() for tok in m[2].split(",")], SYMBOLIC
+            if not all(spec):
                 raise AssignmentError(f"empty value in set for {name!r}")
-            _put(out, name, frozenset(_domain_index(var, v) for v in labels))
-            continue
-        m = _STMT_EQ.match(stmt)
-        if m:
-            name, value = m.groups()
-            var = _lookup(by_name, name)
-            if var.numeric:
-                v = _parse_num(value)
-                _put(out, name, Interval(v, v))
-            else:
-                _put(out, name, frozenset([_domain_index(var, value)]))
-            continue
-        raise AssignmentError(f"cannot parse statement {stmt!r}")
-    return out
-
-
-def _lookup(by_name: dict, name: str) -> Variable:
-    if name not in by_name:
-        raise AssignmentError(f"unknown variable {name!r}")
-    return by_name[name]
-
-
-def _put(out: Assignment, name: str, constraint) -> None:
-    if name in out:
-        raise AssignmentError(f"duplicate constraint for {name!r}")
-    out[name] = constraint
-
-
-def _parse_num(tok: str) -> float:
-    v = _read_number(tok)
-    if v is None:
-        raise AssignmentError(f"expected a finite number, got {tok.strip()!r}")
-    return v
+        elif m := _STMT_EQ.match(stmt):
+            (name, spec), kind = m.groups(), None
+        else:
+            raise AssignmentError(f"cannot parse statement {stmt!r}")
+        var = by_name.get(name)
+        if var is not None and kind not in (None, var.kind):
+            form = "interval" if kind == NUMERIC else "value-set"
+            raise AssignmentError(f"{form} constraint on {var.kind} variable {name!r}")
+        if name in specs:
+            raise AssignmentError(f"duplicate constraint for {name!r}")
+        specs[name] = spec
+    return make_assignment(schema, specs)
 
 
 @dataclass(frozen=True)
@@ -414,6 +336,17 @@ def load_schema_override(path) -> dict:
 def is_number(value) -> bool:
     """Whether ``value`` is an int or a float, not a bool."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def as_float(value) -> float | None:
+    """``value`` as a float if it is a real number but a bool and within the
+    float range, else None."""
+    if isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    return None
 
 
 def _read_numbers(texts) -> np.ndarray | None:

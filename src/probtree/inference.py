@@ -9,10 +9,11 @@ once and reads the leaves it keeps, conditioned on the evidence, as arrays.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
-from .data import Assignment, AssignmentError, Dataset, Interval
+from .data import Assignment, AssignmentError, Dataset, Interval, as_float
 from .leaftable import first_at_least
 from .learner import TreeModel
 from .multinomial import Multinomial
@@ -30,18 +31,19 @@ def _validate(model: TreeModel, a: Assignment | None, what: str) -> Assignment:
         if var.numeric:
             if not isinstance(constraint, Interval):
                 raise AssignmentError(f"{what} for numeric {name!r} must be an interval")
-            if constraint.lower_open or constraint.upper_open:
-                raise AssignmentError(f"open interval bounds in {what} for {name!r} "
-                                      "are not supported")
-            if not constraint.lower <= constraint.upper:
-                raise AssignmentError(f"inverted or NaN interval in {what} for {name!r}")
+            lo, hi = as_float(constraint.lower), as_float(constraint.upper)
+            if lo is None or hi is None or not lo <= hi:
+                raise AssignmentError(f"{what} for {name!r} must be an interval [l, u] "
+                                      f"of real numbers with l <= u, got {constraint!r}")
         else:
-            if isinstance(constraint, Interval):
+            if not isinstance(constraint, (set, frozenset)):
                 raise AssignmentError(f"{what} for symbolic {name!r} must be a value set")
             if not constraint:
                 raise AssignmentError(f"empty value set in {what} for {name!r}")
-            if any(not 0 <= i < len(var.domain) for i in constraint):
-                raise AssignmentError(f"{what} for {name!r} references out-of-domain values")
+            if not all(isinstance(i, (int, numbers.Integral)) and not isinstance(i, bool)
+                       and 0 <= i < len(var.domain) for i in constraint):
+                raise AssignmentError(f"{what} for {name!r} holds values that are not "
+                                      f"indices of its domain: {set(constraint)!r}")
     return a
 
 

@@ -4,12 +4,12 @@ Python call per leaf and variable.
 
 Its store holds per numeric variable all leaves' hinges packed together,
 per symbolic variable the ``[leaf, k]`` histogram table; its regions hold
-per variable each leaf's path region: the bounds ``lo``/``hi`` with their
-open flags, or the admissible values, which ``regions`` derives from the
-tree's node arrays. Every method of a column takes ``leaf``, an index array
-of the leaves to evaluate, and returns one value per entry of it, or with
-``conditioned`` those leaves' distributions conditioned on the evidence,
-packed as arrays.
+per variable each leaf's path region: the bounds ``lo``/``hi`` of the
+values x with ``lo < x <= hi``, or the admissible values, which ``regions``
+derives from the tree's node arrays. Every method of a column takes
+``leaf``, an index array of the leaves to evaluate, and returns one value
+per entry of it, or with ``conditioned`` those leaves' distributions
+conditioned on the evidence, packed as arrays.
 
 A column derives its search keys and slopes from the store the first time
 a query reads it: a command that reloads a model and asks one query
@@ -54,15 +54,14 @@ def regions(schema, tree, n_leaves: int):
     ``tree``, level by level from the root, node 0, which no node may have
     as a child; no node may have two parents.
 
-    A numeric region runs from the largest threshold t whose side x > t the
-    path takes, open, to the smallest whose side x <= t it takes, closed, as
-    ``Interval.intersect`` leaves it: open at an infinite end, and the whole
-    line closed for a variable no split constrains. A value split leaves
-    the value on its left side and all others on its right.
+    A numeric region ``(lo, hi)`` holds the x with ``lo < x <= hi``: lo is
+    the largest threshold t whose side x > t the path takes, hi the smallest
+    whose side x <= t it takes, and an infinity where there is none. A value
+    split leaves the value on its left side and all others on its right.
 
-    Returns the regions by variable name, ``(lo, hi, lo_open, hi_open)``
-    over the leaves or a ``[leaf, k]`` mask of the values admitted; the leaf
-    nodes reached; and those of them with an empty region.
+    Returns the regions by variable name, ``(lo, hi)`` over the leaves or a
+    ``[leaf, k]`` mask of the values admitted; the leaf nodes reached; and
+    those of them with an empty region.
     """
     numeric = np.array([var.numeric for var in schema], dtype=bool)
     width = [2 if var.numeric else len(var.domain) for var in schema]
@@ -97,8 +96,7 @@ def regions(schema, tree, n_leaves: int):
     for var, a, k in zip(schema, off, width):
         if var.numeric:
             lo, hi = bounds[a], bounds[a + 1]
-            bound = np.isfinite(lo) | np.isfinite(hi)
-            out[var.name] = region = lo, hi, bound, bound & (hi == math.inf)
+            out[var.name] = region = lo, hi
             empty |= lo >= hi
         else:
             out[var.name] = mask = (bounds[a:a + k] > 0.0).T.copy()
@@ -112,8 +110,8 @@ class NumericColumn:
     """All leaves' CDFs of one numeric variable and their path bounds.
 
     Leaf i's hinges are rows ``first[i]`` to ``last[i]`` of ``x`` and ``F``,
-    and its path interval is ``(lo, hi, lo_open, hi_open)[i]`` of
-    ``region``. Leaf CDFs have no steps: x rises strictly within a leaf.
+    and its path region ``lo < x <= hi`` is ``(lo, hi)[i]`` of ``region``.
+    Leaf CDFs have no steps: x rises strictly within a leaf.
     """
 
     def __init__(self, name: str, x, F, first, last, region):
@@ -219,14 +217,10 @@ class NumericColumn:
         return self.density(leaf, iv.lower) if iv.is_point else self.mass(leaf, iv)
 
     def overlaps(self, iv: Interval):
-        """Whether each leaf's path region meets the closed ``iv``: the
-        region's ``intersect`` with it is not empty."""
-        a, b = iv.lower, iv.upper
-        p_lo, p_hi, p_lo_open, p_hi_open = self.region
-        lo, hi = np.maximum(a, p_lo), np.minimum(b, p_hi)
-        lo_open = (a <= p_lo) & p_lo_open
-        hi_open = (b >= p_hi) & p_hi_open
-        return (lo < hi) | ((lo == hi) & ~lo_open & ~hi_open)
+        """Whether each leaf's path region (lo, hi], which is not empty,
+        meets ``iv``."""
+        lo, hi = self.region
+        return (iv.upper > lo) & (iv.lower <= hi)
 
 
 class SymbolicColumn:

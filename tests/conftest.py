@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from probtree import Dataset, Interval, LearnerConfig, Variable, ingest_csv, learn, loads
+from probtree import Dataset, LearnerConfig, Variable, ingest_csv, learn, loads
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -98,9 +98,10 @@ def hand_model(schema, tree, leaves, config=None):
 
 
 def reference_paths(model) -> list[dict]:
-    """Each leaf's path by leaf index: the Assignment of the regions that
-    the splits above it leave, intersected down from the root of
-    ``model.tree`` one ``Interval`` or value set at a time. Only the
+    """Each leaf's path by leaf index: the regions that the splits above it
+    leave, narrowed down from the root of ``model.tree`` one split at a
+    time. A numeric region is a pair ``(lo, hi)`` of the x with
+    ``lo < x <= hi``, a symbolic one a frozenset of value indices. Only the
     variables that some split above the leaf tests appear. It is the rule
     that ``model.table.regions`` must match, worked out apart from it."""
     t, schema = model.tree, model.schema
@@ -112,9 +113,8 @@ def reference_paths(model) -> list[dict]:
             continue
         var, v = schema[int(t.feature[i])], float(t.value[i])
         if var.numeric:
-            prev = path.get(var.name, Interval(-math.inf, math.inf, True, True))
-            left = prev.intersect(Interval(-math.inf, v, lower_open=True))
-            right = prev.intersect(Interval(v, math.inf, True, True))
+            lo, hi = path.get(var.name, (-math.inf, math.inf))
+            left, right = (lo, min(hi, v)), (max(lo, v), hi)
         else:
             prev = path.get(var.name, frozenset(range(len(var.domain))))
             left = prev & frozenset([int(v)])
@@ -127,14 +127,13 @@ def reference_paths(model) -> list[dict]:
 def assert_regions_match_the_walk(model):
     """``model.table.regions`` at row k equals leaf k's path of
     ``reference_paths``, where a variable no split above the leaf tests has
-    the closed whole line or every value."""
+    the whole line or every value."""
     paths = reference_paths(model)
     for var in model.schema:
         region = model.table.regions[var.name]
         if var.numeric:
-            whole = Interval(-math.inf, math.inf)
-            got = [Interval(*bounds) for bounds in zip(*(a.tolist() for a in region))]
-            want = [path.get(var.name, whole) for path in paths]
+            got = list(zip(*(a.tolist() for a in region)))
+            want = [path.get(var.name, (-math.inf, math.inf)) for path in paths]
         else:
             every = frozenset(range(len(var.domain)))
             got = [frozenset(np.flatnonzero(row).tolist()) for row in region]
@@ -148,8 +147,9 @@ def accepts_row(path, schema, row) -> bool:
     arrays' routing and of the leaf table."""
     for name, constraint in path.items():
         j = next(i for i, v in enumerate(schema) if v.name == name)
-        if isinstance(constraint, Interval):
-            if not constraint.contains(float(row[j])):
+        if isinstance(constraint, tuple):
+            lo, hi = constraint
+            if not lo < float(row[j]) <= hi:
                 return False
         elif int(row[j]) not in constraint:
             return False

@@ -229,18 +229,6 @@ class TestMakeAssignment:
         assert got == want and type(got.lower) is float and type(got.upper) is float
 
 
-class TestInterval:
-    def test_intersection_open_bounds(self):
-        path = Interval(2.0, np.inf, lower_open=True, upper_open=True)
-        assert path.intersect(Interval(0.0, 2.0)).empty
-        assert not path.intersect(Interval(0.0, 2.1)).empty
-
-    def test_contains_boundaries(self):
-        iv = Interval(0.0, 1.0, lower_open=True)
-        assert not iv.contains(0.0)
-        assert iv.contains(1.0)
-
-
 # -- the column-wise reader and writer against the row-by-row ones ---------------
 
 CELLS = st.one_of(

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from probtree import Interval, LearnerConfig, learn
+from probtree import LearnerConfig, learn
 from probtree.experiments import (GaussianMixture1D, gen_gaussian_toy,
                                   run_cdf_fit_experiment,
                                   run_likelihood_sweep,
@@ -13,8 +13,8 @@ from conftest import reference_paths
 
 
 def constraints_disjoint(a, b):
-    if isinstance(a, Interval):
-        return a.intersect(b).empty
+    if isinstance(a, tuple):  # the x with lo < x <= hi
+        return max(a[0], b[0]) >= min(a[1], b[1])
     return not (a & b)
 
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from probtree import (AssignmentError, DataError, Dataset, Dirac, Interval,
                       LearnerConfig, Multinomial, PiecewiseLinearCDF, TreeModel, Variable,
@@ -94,18 +96,6 @@ class TestDiracLeaves:
         x = sample(model, 500, np.random.default_rng(2), e).column("x")
         assert np.all((x >= 2.0) & (x <= 3.0))
 
-    def test_open_bounds_rejected(self):
-        model = dirac_model()
-        for iv in (Interval(1.0, 2.0, lower_open=True), Interval(1.0, 3.0, upper_open=True)):
-            with pytest.raises(AssignmentError, match="'x'"):
-                make_assignment(model.schema, {"x": iv})
-            with pytest.raises(AssignmentError, match="'x'"):
-                leaf_posterior(model, {"x": iv})
-            with pytest.raises(AssignmentError, match="'x'"):
-                event_probability(model, {"x": iv})
-            with pytest.raises(AssignmentError, match="'x'"):
-                event_probability(model, {"c": frozenset({0})}, {"x": iv})
-
     def test_nan_bounds_rejected(self):
         model = dirac_model()
         for iv in (Interval(math.nan, 3.0), Interval(0.0, math.nan)):
@@ -127,6 +117,98 @@ class TestDiracLeaves:
 
 
 from conftest import DATA_DIR, random_discrete_dataset, random_plf
+
+
+# -- malformed constraints: each is an AssignmentError, never another exception --
+
+REAL = st.one_of(st.floats(allow_nan=False), st.integers(-5, 5))
+INVERTED = st.lists(REAL, min_size=2, max_size=2, unique=True).map(
+    lambda b: sorted(b, reverse=True))
+# neither a real number nor a string that make_assignment reads as a finite one
+NOT_A_NUMBER = st.one_of(st.sampled_from(["", "abc", "1_0", "nan", "-inf", "0x1"]),
+                         st.booleans(), st.none(), st.binary(max_size=2),
+                         st.just(math.nan), st.just(10 ** 400))
+
+
+def bad_intervals(bound):
+    return st.one_of(st.builds(Interval, bound, st.one_of(REAL, bound)),
+                     st.builds(Interval, REAL, bound),
+                     INVERTED.map(lambda b: Interval(*b)))
+
+
+# raw constraints on x (numeric) and c (symbolic, two values), as the
+# queries take them: an Interval of real numbers, a set of value indices
+RAW_X = st.one_of(bad_intervals(st.one_of(NOT_A_NUMBER, st.text(max_size=3))),
+                  REAL, st.text(max_size=2), st.none(), INVERTED.map(tuple),
+                  st.just(frozenset({0})))
+NOT_AN_INDEX = st.one_of(st.text(max_size=2), st.floats(), st.booleans(), st.none(),
+                         st.binary(max_size=2), st.integers(max_value=-1),
+                         st.integers(min_value=2), st.just(10 ** 30))
+RAW_C = st.one_of(
+    # the bad item first, so that True or 1.0 is not merged into an equal 1
+    st.builds(lambda bad, good, kind: kind([bad]) | kind(good), NOT_AN_INDEX,
+              st.sets(st.integers(0, 1)), st.sampled_from([set, frozenset])),
+    st.sampled_from([frozenset(), set(), (0,), [1], "a", 0, None, b"a", Interval(0.0, 1.0)]))
+
+# user-level values as make_assignment takes them
+USER_X = st.one_of(NOT_A_NUMBER, st.just(math.inf), bad_intervals(NOT_A_NUMBER),
+                   INVERTED.map(tuple), INVERTED,
+                   st.lists(REAL, max_size=4).filter(lambda b: len(b) != 2).map(tuple),
+                   st.tuples(NOT_A_NUMBER, REAL), st.just(frozenset({0})))
+NOT_A_LABEL = st.one_of(st.integers(), st.floats(), st.booleans(), st.none(),
+                        st.binary(max_size=2), st.builds(Interval, REAL, REAL),
+                        st.text(max_size=2).filter(lambda t: t not in ("a", "b")))
+USER_C = st.one_of(NOT_A_LABEL, st.just([]),
+                   st.builds(lambda good, bad: [*good, bad],
+                             st.lists(st.sampled_from(["a", "b"]), max_size=2), NOT_A_LABEL))
+
+
+def with_a_good_constraint(name, bad, good, where):
+    """``{name: bad}`` alone (``where`` 0), or next to the good constraint
+    on the other variable, after it (1) or before it (2)."""
+    other = "c" if name == "x" else "x"
+    return [{name: bad}, {name: bad, other: good[other]}, {other: good[other], name: bad}][where]
+
+
+GOOD_RAW = {"x": Interval(0.0, 2.0), "c": frozenset({0, 1})}
+GOOD_USER = {"x": (0.0, 2.0), "c": ["a", "b"]}
+WHERE = st.integers(0, 2)
+
+
+class TestMalformedConstraints:
+    @settings(max_examples=400, deadline=None)
+    @given(bad=st.one_of(st.tuples(st.just("x"), RAW_X), st.tuples(st.just("c"), RAW_C)),
+           where=WHERE)
+    @example(bad=("c", {"a"}), where=0)
+    @example(bad=("c", {1.0}), where=0)
+    @example(bad=("c", {1.5}), where=0)
+    @example(bad=("c", {True}), where=0)
+    @example(bad=("x", Interval("0", "1")), where=0)
+    @example(bad=("x", Interval(None, None)), where=0)
+    def test_queries(self, bad, where):
+        model = uniform_mixture_model()
+        a = with_a_good_constraint(*bad, GOOD_RAW, where)
+        for query in (lambda: leaf_posterior(model, a),
+                      lambda: leaf_posterior(model, a, False),
+                      lambda: event_probability(model, a),
+                      lambda: event_probability(model, {"c": frozenset({0})}, a),
+                      lambda: posterior_distributions(model, a),
+                      lambda: expectation_query(model, "x", a),
+                      lambda: mpe(model, a),
+                      lambda: sample(model, 5, np.random.default_rng(0), a)):
+            with pytest.raises(AssignmentError, match=f"'{bad[0]}'"):
+                query()
+
+    @settings(max_examples=400, deadline=None)
+    @given(bad=st.one_of(st.tuples(st.just("x"), USER_X), st.tuples(st.just("c"), USER_C)),
+           where=WHERE)
+    @example(bad=("c", None), where=0)
+    @example(bad=("c", 5), where=0)
+    @example(bad=("c", b"a"), where=0)
+    def test_make_assignment(self, bad, where):
+        model = uniform_mixture_model()
+        with pytest.raises(AssignmentError, match=f"'{bad[0]}'"):
+            make_assignment(model.schema, with_a_good_constraint(*bad, GOOD_USER, where))
 
 
 def brute_force_event(model, q, e):
@@ -170,10 +252,9 @@ class TestLeafPosterior:
     def test_path_contradicting_evidence_gets_zero(self, toy_hybrid_model):
         model = toy_hybrid_model
         for k, path in enumerate(reference_paths(model)):
-            constraint = path.get("x")
-            if isinstance(constraint, Interval) and math.isfinite(constraint.upper):
-                e = {"x": Interval(constraint.upper + 1.0,
-                                   constraint.upper + 1.0)}
+            hi = path.get("x", (None, math.inf))[1]
+            if math.isfinite(hi):
+                e = {"x": Interval(hi + 1.0, hi + 1.0)}
                 post = leaf_posterior(model, e)
                 assert post[k] == 0.0
                 return
@@ -725,7 +806,9 @@ def _reference_path_compatible(path, e):
         if cond is None:
             continue
         if isinstance(constraint, Interval):
-            if constraint.intersect(cond).empty:
+            # the floats x of [a, b] with lo < x <= hi: from the first float above lo
+            lo, hi = cond
+            if max(constraint.lower, math.nextafter(lo, math.inf)) > min(constraint.upper, hi):
                 return False
         elif not (constraint & cond):
             return False
@@ -933,9 +1016,7 @@ def _points(model, name):
     xs = set()
     for leaf, path in zip(model.leaves, reference_paths(model)):
         xs.update(leaf.distributions[name].x.tolist())
-        cond = path.get(name)
-        if cond is not None:
-            xs.update(b for b in (cond.lower, cond.upper) if math.isfinite(b))
+        xs.update(b for b in path.get(name, ()) if math.isfinite(b))
     xs = sorted(xs)
     return (xs + [(a + b) / 2 for a, b in zip(xs, xs[1:])]
             + [xs[0] - 1, xs[-1] + 1, -math.inf, math.inf])

@@ -357,9 +357,9 @@ class TestPaths:
         while t.feature[right] >= 0:
             right = t.right[right]
         paths = reference_paths(model)
-        liv, riv = paths[t.leaf[left]]["x"], paths[t.leaf[right]]["x"]
-        assert liv.contains(crit.threshold) and liv.upper <= crit.threshold
-        assert not riv.contains(crit.threshold) and riv.lower >= crit.threshold
+        (llo, lhi), (rlo, rhi) = paths[t.leaf[left]]["x"], paths[t.leaf[right]]["x"]
+        assert llo < crit.threshold == lhi
+        assert crit.threshold <= rlo < rhi
 
     def test_symbolic_paths_partition_domain(self, iris_model):
         species_sets = [path.get("species") for path in reference_paths(iris_model)]

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probtree import (Dirac, Interval, LearnerConfig, ModelFormatError, PiecewiseLinearCDF,
+from probtree import (Dirac, LearnerConfig, ModelFormatError, PiecewiseLinearCDF,
                       cli, dumps, event_probability, export_dot, learn, leaf_posterior, load,
                       loads, make_assignment, posterior_distributions, save)
 
@@ -429,8 +429,8 @@ class TestDeepChain:
         assert reference_paths(again) == paths
         # the shallowest leaf is the right child of the root, the deepest two
         # lie below all 1200 splits
-        assert paths[0]["x"] == Interval(1200, math.inf, True, True)
-        assert paths[1200]["x"] == Interval(-math.inf, 1, True, False)
+        assert paths[0]["x"] == (1200, math.inf)
+        assert paths[1200]["x"] == (-math.inf, 1)
         lines = export_dot(again).splitlines()
         assert sum(" -> " in line for line in lines) == 2400
         assert sum("[label=" in line and " -> " not in line for line in lines) == 2401
