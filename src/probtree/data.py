@@ -8,7 +8,7 @@ import json
 import math
 import numbers
 import re
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,6 +111,8 @@ def make_assignment(schema, constraints: dict) -> Assignment:
     a string of one. Symbolic constraints may be a label or an iterable of
     labels.
     """
+    if not isinstance(constraints, Mapping):
+        raise AssignmentError(f"constraints must be a mapping, not a {type(constraints).__name__}")
     by_name = _schema_map(schema)
     out: Assignment = {}
     for name, spec in constraints.items():

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Mapping
 
 import numpy as np
 
 from .data import Assignment, AssignmentError, Dataset, Interval, as_float
-from .leaftable import first_at_least
+from .leaftable import first_at_least, steepest
 from .learner import TreeModel
 from .multinomial import Multinomial
-from .plcdf import PiecewiseLinearCDF
+from .plcdf import PiecewiseLinearCDF, confidence_level
 
 
 class ZeroEvidenceError(ValueError):
@@ -25,7 +26,9 @@ class ZeroEvidenceError(ValueError):
 
 
 def _validate(model: TreeModel, a: Assignment | None, what: str) -> Assignment:
-    a = a or {}
+    a = {} if a is None else a
+    if not isinstance(a, Mapping):
+        raise AssignmentError(f"{what} must be a mapping, not a {type(a).__name__}")
     for name, constraint in a.items():
         var = model.variable(name)
         if var.numeric:
@@ -160,6 +163,7 @@ def expectation_query(model: TreeModel, target: str,
     """``(mean, lower, upper)`` of a numeric variable's merged posterior CDF:
     its mean, the mixture mean ``sum_k P(leaf k | e) * E[target | leaf k, e]``,
     and its confidence interval, widened to contain the mean."""
+    theta = confidence_level(theta)
     var = model.variable(target)
     if not var.numeric:
         raise AssignmentError(
@@ -169,40 +173,30 @@ def expectation_query(model: TreeModel, target: str,
     return (merged.expectation(), *merged.confidence_interval(theta))
 
 
-def _steepest(owner, x, F):
-    """Each leaf's argmax of the density and its value: the midpoint of its
-    steepest piece (leftmost on ties), or a point mass's value with unit
-    density."""
-    first = np.flatnonzero(np.diff(owner, prepend=-1))
-    point, density = x[first], np.ones(len(first))
-    piece = np.flatnonzero(owner[1:] == owner[:-1])
-    slope = (F[piece + 1] - F[piece]) / (x[piece + 1] - x[piece])
-    # by leaf, steepest first; the sort is stable, so the leftmost leads a tie
-    order = np.lexsort((-slope, owner[piece]))
-    leaf, lead = np.unique(owner[piece][order], return_index=True)
-    k = piece[order[lead]]
-    point[leaf], density[leaf] = (x[k] + x[k + 1]) / 2.0, slope[order[lead]]
-    return point, density
-
-
 def mpe(model: TreeModel, e: Assignment | None = None):
     """Most probable explanation: a complete world and its score.
 
     The score mixes probability mass (symbolic, point masses) with density
     (continuous); it is only comparable between candidates under the same
-    evidence. Ties break to the lowest leaf index.
+    evidence. Ties break to the lowest leaf index. A numeric variable
+    without evidence reads its leaves' modes from the leaf table.
     """
-    score, columns = _conditioned(model, e, [var.name for var in model.schema])
-    values = {}
-    for var, leaves in zip(model.schema, columns):
+    posterior = leaf_posterior(model, e)
+    keep = np.flatnonzero(posterior)
+    score, e, values = posterior[keep], e or {}, {}
+    for var in model.schema:
+        column, given = model.table.column(var.name), e.get(var.name)
         if var.symbolic:
+            leaves = column.conditioned(keep, given)
             values[var.name], f = leaves.argmax(axis=1), leaves.max(axis=1)
+        elif given is None:
+            values[var.name], f = column.mode(keep)
         else:
-            values[var.name], f = _steepest(*leaves)
+            values[var.name], f = steepest(*column.conditioned(keep, given))
         score = score * f
     k = int(score.argmax())
     if not score[k] > 0.0:
-        raise ZeroEvidenceError(_zero_explanation(model, e or {}))
+        raise ZeroEvidenceError(_zero_explanation(model, e))
     return ({var.name: var.domain[values[var.name][k]] if var.symbolic
              else float(values[var.name][k]) for var in model.schema}, float(score[k]))
 
@@ -257,8 +251,8 @@ def sample(model: TreeModel, n: int, rng, e: Assignment | None = None) -> Datase
     variable independently from its (conditioned) leaf distribution. The
     leaves take the first draws of ``rng``, then each variable in schema
     order the next ``n`` uniforms, inverted against its row's leaf."""
-    if n < 1:
-        raise AssignmentError("sample count must be >= 1")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise AssignmentError(f"sample count must be an integer >= 1, got {n!r}")
     w, columns = _conditioned(model, e, [var.name for var in model.schema])
     leaf = rng.choice(len(w), size=n, p=w)
     values = np.empty((n, len(model.schema)))

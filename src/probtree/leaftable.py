@@ -12,8 +12,8 @@ per entry of it, or with ``conditioned`` those leaves' distributions
 conditioned on the evidence, packed as arrays.
 
 A column derives its search keys and slopes from the store the first time
-a query reads it: a command that reloads a model and asks one query
-derives only what that query reads.
+a query reads it, and its leaves' modes when first asked for: a command
+that reloads a model and asks one query derives only what that query reads.
 """
 
 from __future__ import annotations
@@ -47,6 +47,22 @@ def first_at_least(a, first, last, v) -> np.ndarray:
     for step in 1 << np.arange(int((last - first).max() + 1).bit_length())[::-1]:
         g += step * (a[np.minimum(g + (step - 1), last)] < v)
     return g
+
+
+def steepest(owner, x, F):
+    """Each leaf's argmax of the density and its value, from packed hinges
+    ``(owner, x, F)``: the midpoint of its steepest piece (leftmost on ties),
+    or a point mass's value with unit density."""
+    first = np.flatnonzero(np.diff(owner, prepend=-1))
+    point, density = x[first], np.ones(len(first))
+    piece = np.flatnonzero(owner[1:] == owner[:-1])
+    slope = (F[piece + 1] - F[piece]) / (x[piece + 1] - x[piece])
+    # by leaf, steepest first; the sort is stable, so the leftmost leads a tie
+    order = np.lexsort((-slope, owner[piece]))
+    leaf, lead = np.unique(owner[piece][order], return_index=True)
+    k = piece[order[lead]]
+    point[leaf], density[leaf] = (x[k] + x[k + 1]) / 2.0, slope[order[lead]]
+    return point, density
 
 
 def regions(schema, tree, n_leaves: int):
@@ -111,7 +127,7 @@ class NumericColumn:
 
     Leaf i's hinges are rows ``first[i]`` to ``last[i]`` of ``x`` and ``F``,
     and its path region ``lo < x <= hi`` is ``(lo, hi)[i]`` of ``region``.
-    Leaf CDFs have no steps: x rises strictly within a leaf.
+    Leaf CDFs have no steps and end at F = 1: x rises strictly within a leaf.
     """
 
     def __init__(self, name: str, x, F, first, last, region):
@@ -129,6 +145,7 @@ class NumericColumn:
         # sorted, since each leaf's hinges are
         self.keys = _keys(np.repeat(np.arange(len(first)), last - first + 1), x)
         _read_only(self.ending, self.keys)
+        self.modes = None
 
     def locate(self, leaf, v):
         """For each leaf and value (v is a scalar or one value per leaf): the
@@ -166,7 +183,14 @@ class NumericColumn:
         """Each leaf's CDF conditioned on ``given`` as packed hinges ``(owner,
         x, F)``, as ``PiecewiseLinearCDF.crop`` builds them: (lo, F(lo)), the
         hinges inside (lo, hi) and (hi, 1), or a point mass's one hinge (lo,
-        1). ``owner`` is the position in ``leaf`` of each hinge's leaf."""
+        1); without ``given``, the stored hinges, which the full crop gives
+        their own F. ``owner`` is the position in ``leaf`` of each hinge's leaf."""
+        if given is None:
+            first = self.first[leaf]
+            sizes = self.last[leaf] - first + 1
+            owner = np.repeat(np.arange(len(leaf)), sizes)
+            rows = np.arange(len(owner)) - (np.cumsum(sizes) - sizes - first)[owner]
+            return owner, self.x[rows], self.F[rows]
         crop = [np.broadcast_to(c, len(leaf)) for c in self.crop(leaf, given)]
         lo, hi = crop[0], crop[1]
         start = self.locate(leaf, lo)  # the row after the last hinge at or below lo
@@ -177,6 +201,15 @@ class NumericColumn:
                      np.where(place == sizes[owner] - 1, hi[owner],
                               self.x[start[owner] + place - 1]))
         return owner, x, self.cdf(leaf[owner], x, [c[owner] for c in crop])
+
+    def mode(self, leaf):
+        """Each leaf's ``steepest`` point and density, which the first call
+        derives for all leaves."""
+        if self.modes is None:
+            self.modes = steepest(np.repeat(np.arange(len(self.first)), self.last - self.first + 1),
+                                  self.x, self.F)
+            _read_only(*self.modes)
+        return self.modes[0][leaf], self.modes[1][leaf]
 
     def cdf(self, leaf, v, crop):
         """Each leaf's cropped CDF at v (a scalar or one value per leaf), bit

@@ -11,6 +11,7 @@ tolerance.
 
 from __future__ import annotations
 
+import numbers
 from itertools import chain
 
 import numpy as np
@@ -194,8 +195,7 @@ class PiecewiseLinearCDF:
 
     def confidence_interval(self, theta: float):
         """Interval around the mean holding roughly ``theta`` posterior mass."""
-        if not 0.0 <= theta <= 1.0:
-            raise DistributionError(f"confidence level {theta} outside [0, 1]")
+        theta = confidence_level(theta)
         m = self.expectation()
         fm = self.cdf(m)
         l = self.ppf(min(1.0, max(0.0, fm - theta / 2.0)))
@@ -315,6 +315,13 @@ def _hinge_fault(h, first, last, strict: bool = False):
     i = int(first.searchsorted(faults.any(axis=0).argmax(), side="right")) - 1
     rule = int(faults[:, first[i]:last[i] + 1].any(axis=1).argmax())
     return i, _HINGE_RULES[rule]
+
+
+def confidence_level(theta) -> float:
+    """``theta`` as a float if it is a real number in [0, 1] and no bool."""
+    if isinstance(theta, bool) or not isinstance(theta, numbers.Real) or not 0.0 <= theta <= 1.0:
+        raise DistributionError(f"confidence level must be a real number in [0, 1], got {theta!r}")
+    return float(theta)
 
 
 def cdfs_from_json(objs):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from probtree import (AssignmentError, DataError, Dataset, Dirac, Interval,
+from probtree import (AssignmentError, DataError, Dataset, Dirac, DistributionError, Interval,
                       LearnerConfig, Multinomial, PiecewiseLinearCDF, TreeModel, Variable,
                       ZeroEvidenceError, event_probability, expectation_query,
                       ingest_csv, leaf_posterior, learn, log_likelihood,
@@ -170,6 +170,21 @@ def with_a_good_constraint(name, bad, good, where):
     return [{name: bad}, {name: bad, other: good[other]}, {other: good[other], name: bad}][where]
 
 
+# sample counts that are not integers >= 1
+BAD_N = st.one_of(st.integers(max_value=0), st.booleans(), st.none(), st.text(max_size=2),
+                  st.floats(), st.sampled_from([np.int64(0), np.float64(3.0), 2.5, [3], b"3"]))
+# assignments that are not mappings, of names to good constraints or not
+NOT_A_MAPPING = st.one_of(
+    st.lists(st.sampled_from([("x", Interval(0.0, 1.0)), ("x", 1), ("c", frozenset({0})),
+                              ("c", "a")]), max_size=2),
+    st.lists(st.sampled_from(["x", "c"]), max_size=2).map(tuple),
+    st.sets(st.sampled_from(["x", "c"])), st.text(max_size=2), st.integers(),
+    st.booleans(), st.just(Interval(0.0, 1.0)))
+# confidence levels that are not real numbers
+NOT_A_LEVEL = st.one_of(st.text(max_size=3), st.none(), st.booleans(), st.binary(max_size=2),
+                        st.sampled_from([[0.5], (0.5,), complex(0.5), {0.5: 1}]))
+
+
 GOOD_RAW = {"x": Interval(0.0, 2.0), "c": frozenset({0, 1})}
 GOOD_USER = {"x": (0.0, 2.0), "c": ["a", "b"]}
 WHERE = st.integers(0, 2)
@@ -209,6 +224,55 @@ class TestMalformedConstraints:
         model = uniform_mixture_model()
         with pytest.raises(AssignmentError, match=f"'{bad[0]}'"):
             make_assignment(model.schema, with_a_good_constraint(*bad, GOOD_USER, where))
+
+
+class TestMalformedArguments:
+    """A bad sample count, an assignment that is not a mapping and a
+    confidence level that is not a real number each raise only their own
+    typed error, before any work."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(bad=st.one_of(st.tuples(st.just("n"), BAD_N),
+                         st.tuples(st.just("assignment"), NOT_A_MAPPING),
+                         st.tuples(st.just("theta"), NOT_A_LEVEL)))
+    @example(bad=("n", 2.5))
+    @example(bad=("n", "3"))
+    @example(bad=("n", True))
+    @example(bad=("assignment", [("x", Interval(0.0, 1.0))]))
+    @example(bad=("theta", "0.9"))
+    def test_typed_errors(self, bad):
+        model = uniform_mixture_model()
+        kind, value = bad
+        if kind == "n":
+            error, calls = AssignmentError, [
+                lambda: sample(model, value, np.random.default_rng(0)),
+                lambda: sample(model, value, np.random.default_rng(0), {"c": frozenset({0})})]
+        elif kind == "assignment":
+            error, calls = AssignmentError, [
+                lambda: leaf_posterior(model, value),
+                lambda: event_probability(model, value),
+                lambda: event_probability(model, {"c": frozenset({0})}, value),
+                lambda: posterior_distributions(model, value),
+                lambda: expectation_query(model, "x", value),
+                lambda: mpe(model, value),
+                lambda: sample(model, 5, np.random.default_rng(0), value),
+                lambda: make_assignment(model.schema, value)]
+        else:
+            error, calls = DistributionError, [
+                lambda: expectation_query(model, "x", theta=value),
+                lambda: expectation_query(model, "x", {"x": Interval(0.5, 1.5)}, value),
+                lambda: PiecewiseLinearCDF([[0, 0], [1, 1]]).confidence_interval(value)]
+        for call in calls:
+            with pytest.raises(error) as raised:
+                call()
+            assert type(raised.value) is error
+
+    def test_numpy_integers_and_levels_are_accepted(self):
+        model = uniform_mixture_model()
+        assert len(sample(model, np.int64(3), np.random.default_rng(0))) == 3
+        assert (expectation_query(model, "x", theta=np.float64(0.5))
+                == expectation_query(model, "x", theta=0.5))
+        assert expectation_query(model, "x", theta=1) == expectation_query(model, "x", theta=1.0)
 
 
 def brute_force_event(model, q, e):
