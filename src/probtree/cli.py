@@ -273,8 +273,7 @@ def main(argv=None) -> int:
     except ZeroEvidenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ZERO_EVIDENCE
-    except (DataError, AssignmentError, DistributionError, ModelFormatError,
-            OSError, json.JSONDecodeError) as exc:
+    except (DataError, AssignmentError, DistributionError, ModelFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import csv
+import itertools
 import json
 import math
 import numbers
@@ -249,6 +251,10 @@ class Dataset:
         return Dataset(self.schema, self.values[indices], self.weights[indices])
 
 
+#: Rows that the CSV reader and writer hold as strings at a time.
+_CHUNK_ROWS = 4096
+
+
 def ingest_csv(path, schema_override: dict | None = None) -> Dataset:
     """Read an RFC-4180-style CSV with header into a typed Dataset.
 
@@ -256,82 +262,170 @@ def ingest_csv(path, schema_override: dict | None = None) -> Dataset:
     numeric; all others become symbolic with the sorted distinct values as
     domain. ``schema_override`` maps column names to "numeric"/"symbolic"
     and wins over inference.
-    """
-    try:
-        # utf-8-sig reads past a byte-order mark, which would join the first name
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"{path}: empty file") from None
-            rows = list(reader)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise DataError(f"{path}: not a UTF-8 CSV file ({exc})") from None
-    if not header:
-        raise DataError(f"{path}: no column names in the first line")
-    if len(set(header)) != len(header):
-        raise DataError(f"{path}: duplicate column names in header")
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    # the first row that is ragged or has an empty cell; in a row, the length first
-    ncol = len(header)
-    ragged = next((i for i, n in enumerate(map(len, rows)) if n != ncol), len(rows))
-    columns = list(zip(*rows[:ragged]))
-    empty = min(((c.index(""), j) for j, c in enumerate(columns) if "" in c), default=None)
-    if empty is not None:
-        raise DataError(f"{path}: missing value in row {empty[0] + 2}, "
-                        f"column {header[empty[1]]!r}")
-    if ragged < len(rows):
-        raise DataError(f"{path}: row {ragged + 2} has {len(rows[ragged])} cells, "
-                        f"expected {ncol}")
 
+    The file is read ``_CHUNK_ROWS`` rows at a time, and each chunk's cells
+    go into typed columns before the next chunk is read, so that only one
+    chunk is held as strings. A column that stops being numeric after its
+    first chunk costs a second read, with its labels kept from the start.
+    Faults are reported in this order: a file that cannot be read or
+    decoded, wherever in it the fault lies; the header; no data rows; the
+    first ragged row or empty cell; the override; the first cell that a
+    numeric override cannot read, in the first such column.
+    """
     override = dict(schema_override or {})
+    header, columns, n = _read_csv(path, override)
+    while late := {name: SYMBOLIC for name, col in zip(header, columns) if col.late}:
+        # the rare path: a column stopped being numeric after its first
+        # chunk, so the file is read again with its labels kept from the start
+        override.update(late)
+        del columns
+        header, columns, n = _read_csv(path, override)
+    values = np.empty((n, len(header)))
+    schema = [col.finish(name, values[:, j]) for j, (name, col) in enumerate(zip(header, columns))]
+    return Dataset(tuple(schema), values)
+
+
+def _read_csv(path, override: dict) -> tuple[list[str], list[_Column], int]:
+    """The header, the typed ``_Column`` of each name and the row count of
+    the CSV file at ``path``, read a chunk of rows at a time; every fault
+    raises DataError, in the order that ``ingest_csv`` gives."""
+    chunks = _csv_chunks(path)
+    header = next(chunks)
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    if not header or len(set(header)) != len(header):
+        collections.deque(chunks, maxlen=0)  # a read fault further on wins
+        raise DataError(f"{path}: no column names in the first line" if not header
+                        else f"{path}: duplicate column names in header")
+    columns = [_Column(override.get(name)) for name in header]
+    n, fault = 0, None
+    for rows in chunks:
+        if fault is None:
+            fault = _read_rows(rows, n, header, columns)
+        n += len(rows)
+    if not n:
+        raise DataError(f"{path}: no data rows")
+    if fault is not None:
+        raise DataError(f"{path}: {fault}")
+
     for name, kind in override.items():
         if name not in header:
             raise DataError(f"schema names column {name!r}, which {path} does not have")
         if kind not in (NUMERIC, SYMBOLIC):
             raise DataError(f"schema override for {name!r} must be 'numeric' or 'symbolic'")
+    for name, col in zip(header, columns):
+        if col.bad is not None:
+            raise DataError(f"column {name!r} declared numeric but cell {col.bad!r} does not parse")
+    return header, columns, n
 
-    schema = []
-    for j, (name, cells) in enumerate(zip(header, columns)):
-        numbers = _read_numbers(cells)
-        kind = override.get(name, SYMBOLIC if numbers is None else NUMERIC)
-        if kind == NUMERIC:
-            if numbers is None:
-                bad = next(c for c in cells if _read_number(c) is None)
-                raise DataError(f"column {name!r} declared numeric but cell {bad!r} does not parse")
-            schema.append(Variable(name, NUMERIC))
-            columns[j] = numbers
+
+def _csv_chunks(path):
+    """The header row of the CSV file at ``path`` (None if it has none), then
+    its other rows in lists of at most ``_CHUNK_ROWS``; a file that cannot
+    be read or decoded raises DataError."""
+    try:
+        # utf-8-sig reads past a byte-order mark, which would join the first name
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            yield next(reader, None)
+            while rows := list(itertools.islice(reader, _CHUNK_ROWS)):
+                yield rows
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: not a UTF-8 CSV file ({exc})") from None
+
+
+def _read_rows(rows, first: int, header, columns) -> str | None:
+    """Add a chunk of rows, which follow ``first`` data rows, to
+    ``columns``; or, without adding any, describe the first row that is
+    ragged or has an empty cell (in a row, the length first)."""
+    ncol, lengths = len(header), list(map(len, rows))
+    ragged = (len(rows) if lengths.count(ncol) == len(rows)
+              else next(i for i, n in enumerate(lengths) if n != ncol))
+    cells = list(zip(*rows[:ragged]))
+    empty = min(((c.index(""), j) for j, c in enumerate(cells) if "" in c), default=None)
+    if empty is not None:
+        return f"missing value in row {first + empty[0] + 2}, column {header[empty[1]]!r}"
+    if ragged < len(rows):
+        return f"row {first + ragged + 2} has {len(rows[ragged])} cells, expected {ncol}"
+    for col, c in zip(columns, cells):
+        col.add(c, first)
+    return None
+
+
+class _Column:
+    """One CSV column's cells so far, in typed chunks: float arrays while
+    every cell is a number, else label codes in the order in which labels
+    first appeared, which ``finish`` maps to the sorted domain."""
+
+    def __init__(self, kind: str | None):
+        self.kind = kind
+        self.numbers = None if kind == SYMBOLIC else []
+        self.labels: dict[str, int] = {}
+        self.codes: list[np.ndarray] = []
+        self.bad = None  # under a numeric override, the first cell that is no number
+        self.late = False  # stopped being numeric after its first chunk
+
+    def add(self, cells, first: int) -> None:
+        if self.bad is not None:
+            return
+        if self.numbers is not None:
+            numbers = _read_numbers(cells)
+            if numbers is not None:
+                self.numbers.append(numbers)
+                return
+            if self.kind == NUMERIC:
+                self.bad = next(c for c in cells if _read_number(c) is None)
+                return
+            self.numbers, self.late = None, first > 0
+        labels = self.labels
+        for label in set(cells).difference(labels):
+            labels[label] = len(labels)
+        self.codes.append(np.fromiter(map(labels.__getitem__, cells), np.intp, len(cells)))
+
+    def finish(self, name: str, out: np.ndarray) -> Variable:
+        """The column's Variable; its values go to ``out`` and its chunks
+        are dropped."""
+        if self.numbers is not None:
+            var, parts = Variable(name, NUMERIC), self.numbers
         else:
-            domain = tuple(sorted(set(cells)))
-            schema.append(Variable(name, SYMBOLIC, domain))
-            index = {lab: k for k, lab in enumerate(domain)}
-            columns[j] = np.fromiter(map(index.__getitem__, cells), float, len(cells))
-    return Dataset(tuple(schema), np.column_stack(columns))
+            domain = tuple(sorted(self.labels))
+            code = np.empty(len(domain))
+            code[[self.labels[label] for label in domain]] = np.arange(len(domain))
+            var, parts = Variable(name, SYMBOLIC, domain), self.codes
+            for k, part in enumerate(parts):
+                parts[k] = code[part]
+        np.concatenate(parts, out=out)
+        self.numbers = self.codes = None
+        return var
 
 
 def emit_csv(dataset: Dataset, out) -> None:
     """Write a Dataset back to CSV with full-precision numeric cells, to the
-    file at path ``out`` or to ``out`` itself if it is an open text stream."""
+    file at path ``out`` or to ``out`` itself if it is an open text stream,
+    ``_CHUNK_ROWS`` rows at a time."""
     with (contextlib.nullcontext(out) if hasattr(out, "write")
           else open(out, "w", newline="", encoding="utf-8")) as fh:
         writer = csv.writer(fh)
         writer.writerow([v.name for v in dataset.schema])
-        columns = [list(map(var.domain.__getitem__, col.astype(np.intp).tolist()))
-                   if var.symbolic else list(map(repr, col.tolist()))
-                   for var, col in zip(dataset.schema, dataset.values.T)]
-        writer.writerows(zip(*columns) if columns else [()] * len(dataset))
+        for first in range(0, len(dataset), _CHUNK_ROWS):
+            rows = dataset.values[first:first + _CHUNK_ROWS]
+            columns = [list(map(var.domain.__getitem__, col.astype(np.intp).tolist()))
+                       if var.symbolic else list(map(repr, col.tolist()))
+                       for var, col in zip(dataset.schema, rows.T)]
+            writer.writerows(zip(*columns) if columns else [()] * len(rows))
 
 
 def load_schema_override(path) -> dict:
     """Read a sidecar JSON map {column_name: "numeric"|"symbolic"}."""
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"{path}: not a UTF-8 JSON file ({exc})") from None
     if not isinstance(obj, dict):
-        raise DataError("schema override must be a JSON object")
+        raise DataError(f"{path}: schema override must be a JSON object")
     return obj
 
 

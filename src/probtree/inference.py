@@ -14,7 +14,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from .data import Assignment, AssignmentError, Dataset, Interval, as_float
+from .data import Assignment, AssignmentError, DataError, Dataset, Interval, as_float
 from .leaftable import first_at_least, steepest
 from .learner import TreeModel
 from .multinomial import Multinomial
@@ -30,7 +30,10 @@ def _validate(model: TreeModel, a: Assignment | None, what: str) -> Assignment:
     if not isinstance(a, Mapping):
         raise AssignmentError(f"{what} must be a mapping, not a {type(a).__name__}")
     for name, constraint in a.items():
-        var = model.variable(name)
+        try:
+            var = model.variable(name)
+        except DataError:
+            raise AssignmentError(f"{what} names unknown variable {name!r}") from None
         if var.numeric:
             if not isinstance(constraint, Interval):
                 raise AssignmentError(f"{what} for numeric {name!r} must be an interval")

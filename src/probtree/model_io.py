@@ -203,9 +203,12 @@ def _is_index(value, n: int) -> bool:
 def load(path) -> TreeModel:
     try:
         with open(path, encoding="utf-8") as fh:
-            return loads(fh.read())
+            text = fh.read()
     except OSError as exc:
         raise ModelFormatError(f"file: cannot read {path} ({exc})") from None
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"file: {path} is not UTF-8 text ({exc})") from None
+    return loads(text)
 
 
 def _dot_escape(s: str) -> str:

@@ -162,6 +162,36 @@ class TestQuery:
         assert main(["query", "--model", str(bad), "--q", "x = 1"]) == 1
 
 
+class TestFilesThatAreNotUtf8Json:
+    """A model or schema file that is not UTF-8 JSON ends in exit code 1 and
+    one error line that names the file."""
+
+    @staticmethod
+    def assert_one_error_line(err, path):
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err, err
+
+    @pytest.mark.parametrize("command", [["query", "--q", "species = setosa"],
+                                         ["sample", "-n", "3"],
+                                         ["export", "--dot", "tree.dot"]])
+    def test_model_file(self, tmp_path, capsys, command):
+        model = tmp_path / "m.json"
+        model.write_bytes(b"\xff\xfe{}")
+        assert main([command[0], "--model", str(model), *command[1:]]) == 1
+        err = capsys.readouterr().err
+        self.assert_one_error_line(err, model)
+        assert err.startswith("error: file: ")
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"", b"{'x': 'numeric'}",
+                                         b'["x", "numeric"]'])
+    def test_schema_file(self, iris_csv, tmp_path, capsys, content):
+        schema = tmp_path / "s.json"
+        schema.write_bytes(content)
+        assert main(["train", "--data", str(iris_csv), "--out", str(tmp_path / "m.json"),
+                     "--schema", str(schema)]) == 1
+        self.assert_one_error_line(capsys.readouterr().err, schema)
+        assert not (tmp_path / "m.json").exists()
+
+
 class TestLikelihood:
     def test_training_data(self, trained, iris_csv, capsys):
         code = main(["likelihood", "--model", str(trained),

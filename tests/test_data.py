@@ -1,12 +1,14 @@
 import csv
 import io
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from probtree import (AssignmentError, DataError, Dataset, Interval, Variable,
+from probtree import (AssignmentError, DataError, Dataset, Interval, Variable, data,
                       emit_csv, ingest_csv, make_assignment, parse_assignment)
 
 from reference_train import reference_emit_csv, reference_ingest_csv
@@ -245,15 +247,37 @@ NUMBERISH = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr)
 NAMES = ["a", "b", "c", "a ", ""]
 
 
-def read_both(path, override):
-    """``(result, DataError message)`` of each reader."""
-    out = []
-    for read in (ingest_csv, reference_ingest_csv):
-        try:
-            out.append((read(path, override), None))
-        except DataError as exc:
-            out.append((None, str(exc)))
-    return out
+#: the reader's own chunk size and chunk sizes that put chunk boundaries
+#: between the few rows of a property example
+CHUNK_SIZES = (data._CHUNK_ROWS, 1, 2, 3)
+
+
+def chunk_rows(n: int):
+    """A context in which the CSV reader and writer hold ``n`` rows at a time."""
+    return mock.patch.object(data, "_CHUNK_ROWS", n)
+
+
+def read(reader, path, override=None):
+    """``(result, DataError message)`` of ``reader``."""
+    try:
+        return reader(path, override), None
+    except DataError as exc:
+        return None, str(exc)
+
+
+def assert_reads_like_the_reference(path, override=None, chunk_sizes=CHUNK_SIZES):
+    """``ingest_csv`` at each chunk size gives the schema, value bits and
+    error message of the row-by-row reader; returns the reference's pair."""
+    want, want_error = read(reference_ingest_csv, path, override)
+    for n in chunk_sizes:
+        with chunk_rows(n):
+            got, got_error = read(ingest_csv, path, override)
+        assert got_error == want_error, n
+        if want is not None:
+            assert got.schema == want.schema, n
+            assert got.values.tobytes() == want.values.tobytes(), n
+            assert got.weights.tobytes() == want.weights.tobytes(), n
+    return want, want_error
 
 
 @settings(max_examples=400, deadline=None)
@@ -285,7 +309,7 @@ def read_both(path, override):
 def test_ingest_matches_the_row_by_row_reader(tmp_path_factory, header, rows, quoted, bom,
                                               override):
     """Both readers give the same schema and the same value bits, or the same
-    error message."""
+    error message, whatever the chunk size."""
     if quoted:
         buf = io.StringIO()
         csv.writer(buf).writerows([header] + rows)
@@ -294,12 +318,99 @@ def test_ingest_matches_the_row_by_row_reader(tmp_path_factory, header, rows, qu
         text = "".join(",".join(row) + "\n" for row in [header] + rows)
     path = tmp_path_factory.mktemp("ingest") / "data.csv"
     path.write_bytes(("\ufeff" if bom else "").encode() + text.encode())
-    (got, got_error), (want, want_error) = read_both(path, override)
-    assert got_error == want_error
-    if want is not None:
-        assert got.schema == want.schema
-        assert got.values.tobytes() == want.values.tobytes()
-        assert got.weights.tobytes() == want.weights.tobytes()
+    assert_reads_like_the_reference(path, override)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(1, 3).flatmap(
+           lambda k: st.lists(st.lists(st.one_of(NUMBERISH, NUMBERISH, CELLS),
+                                       min_size=k, max_size=k), min_size=1, max_size=9)),
+       override=st.none() | st.dictionaries(st.sampled_from("abc"),
+                                             st.sampled_from(["numeric", "symbolic"]),
+                                             max_size=2))
+def test_ingest_matches_the_row_by_row_reader_on_whole_rows(tmp_path_factory, rows, override):
+    """As above, on rows as long as the header, so that most files are read
+    through and a column may stop being numeric in any chunk."""
+    header = list("abc"[:len(rows[0])])
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header] + rows)
+    path = tmp_path_factory.mktemp("ingest") / "data.csv"
+    path.write_text(buf.getvalue(), encoding="utf-8")
+    # an override of a column that the file lacks would fail every example alike
+    assert_reads_like_the_reference(path, override if set(override or ()) <= set(header)
+                                    else None)
+
+
+class TestChunkBoundaries:
+    """Faults and column kinds that span the reader's chunks of rows."""
+
+    def test_column_turns_symbolic_in_the_third_chunk(self, tmp_path):
+        # x is numeric for two chunks of two rows; y turns in the second chunk
+        p = write_csv(tmp_path, "x,y,z\n1,0.5,a\n 2 ,1,b\n3.0,y,a\n4,2,b\nfive,3,a\n1e0,4,b\n")
+        want, _ = assert_reads_like_the_reference(p, chunk_sizes=(2,))
+        # the earlier chunks are read again as the labels they spell
+        assert want.schema[0].domain == (" 2 ", "1", "1e0", "3.0", "4", "five")
+        assert want.schema[1].domain == ("0.5", "1", "2", "3", "4", "y")
+        assert want.schema[2].domain == ("a", "b")
+        with chunk_rows(2):
+            assert ingest_csv(p, {"x": "symbolic"}).schema == want.schema
+
+    @pytest.mark.parametrize("rows, message", [
+        (["1,2"] * 7 + [",2"] + ["1,2"] * 3, "missing value in row 9, column 'a'"),
+        (["1,2"] * 9 + ["1"] + ["1,2", ",2"], "row 11 has 1 cells, expected 2"),
+        (["1,2"] * 6 + ["1,2,3", "1,"], "row 8 has 3 cells, expected 2"),
+        (["1,2"] * 6 + ["1,", "1,2,3"], "missing value in row 8, column 'b'"),
+        (["1,2"] * 6 + ["x,", ""], "missing value in row 8, column 'b'"),
+    ])
+    def test_ragged_row_and_empty_cell_in_a_later_chunk(self, tmp_path, rows, message):
+        p = write_csv(tmp_path, "a,b\n" + "\n".join(rows) + "\n")
+        _, error = assert_reads_like_the_reference(p, chunk_sizes=(3, data._CHUNK_ROWS))
+        assert error == f"{p}: {message}"
+
+    def test_numeric_override_faults_in_two_columns(self, tmp_path):
+        # b's fault comes first in the file; a's is named, as a comes first in the header
+        p = write_csv(tmp_path, "a,b,c\n1,2,u\n2,q,v\n3,4,u\n4,5,v\np,6,u\nr,7,v\n")
+        override = {"b": "numeric", "a": "numeric"}
+        _, error = assert_reads_like_the_reference(p, override, chunk_sizes=(2, 1, data._CHUNK_ROWS))
+        assert error == "column 'a' declared numeric but cell 'p' does not parse"
+        _, error = assert_reads_like_the_reference(p, {"b": "numeric"}, chunk_sizes=(2,))
+        assert error == "column 'b' declared numeric but cell 'q' does not parse"
+
+    @pytest.mark.parametrize("head", ["a,b\n1,2\n1\n", "a,b\n1,2\n,2\n", "a,a\n1,2\n",
+                                      "\n1,2\n"])
+    @pytest.mark.parametrize("tail", [pytest.param(b"3,4\n\xff\xfe\n", id="decode"),
+                                      pytest.param(b'3,"' + b"4" * 200_000 + b'"\n',
+                                                   id="field-limit")])
+    def test_a_read_fault_later_in_the_file_wins(self, tmp_path, head, tail):
+        # 20 kB of rows, so that the text layer decodes the bad bytes well
+        # after it has handed out the faulty rows at the head
+        p = tmp_path / "data.csv"
+        p.write_bytes(head.encode() + b"1,2\n" * 5000 + tail)
+        _, error = assert_reads_like_the_reference(p, chunk_sizes=(2, data._CHUNK_ROWS))
+        assert error.startswith(f"{p}: not a UTF-8 CSV file (")
+
+    def test_memory_stays_near_the_result(self, tmp_path):
+        """The reader holds one chunk of rows as strings plus the typed
+        columns: 2.2 times the result on this file, where the row-list
+        reader, which held every cell as a string, reached 13.1 times."""
+        n = 100_000
+        rng = np.random.default_rng(19)
+        labels = np.array(["red", "green", "blue", "cyan", "magenta"])
+        numbers = rng.standard_normal((n, 4)) * 10.0 ** rng.integers(-3, 4, (n, 4))
+        with open(tmp_path / "big.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x0", "x1", "x2", "x3", "s0", "s1"])
+            writer.writerows(zip(*[map(repr, col) for col in numbers.T.tolist()],
+                                 labels[rng.integers(0, 5, n)], labels[rng.integers(0, 3, n)]))
+        tracemalloc.start()
+        try:
+            ds = ingest_csv(tmp_path / "big.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ds) == n and [v.kind for v in ds.schema].count("symbolic") == 2
+        ratio = peak / ds.values.nbytes
+        assert ratio <= 3.0, ratio
 
 
 class TestEmitCsv:
@@ -334,12 +445,17 @@ class TestEmitCsv:
                                   rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
                                   np.round(rng.normal(0, 100, n))])
         ds = Dataset(schema, values)
-        got, want = self.emitted(ds)
-        assert got == want
-        emit_csv(ds, tmp_path / "out.csv")
-        assert (tmp_path / "out.csv").read_bytes() == want.encode()
+        # a short last chunk, exactly one chunk, and the writer's own size
+        for rows_per_chunk in (7, n, data._CHUNK_ROWS):
+            with chunk_rows(rows_per_chunk):
+                got, want = self.emitted(ds)
+                emit_csv(ds, tmp_path / "out.csv")
+            assert got == want, rows_per_chunk
+            assert (tmp_path / "out.csv").read_bytes() == want.encode(), rows_per_chunk
 
     def test_no_rows_and_no_columns(self):
         schema = (Variable("x", "numeric"), Variable("c", "symbolic", ("a",)))
         assert len(set(self.emitted(Dataset(schema, np.zeros((0, 2)))))) == 1
         assert len(set(self.emitted(Dataset((), np.zeros((3, 0)))))) == 1
+        with chunk_rows(2):
+            assert len(set(self.emitted(Dataset((), np.zeros((3, 0)))))) == 1

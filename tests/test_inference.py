@@ -343,8 +343,10 @@ class TestLeafPosterior:
         assert "x" in str(exc.value)
 
     def test_unknown_variable_rejected(self, iris_model):
-        with pytest.raises(DataError):
+        with pytest.raises(AssignmentError, match="'bogus'"):
             leaf_posterior(iris_model, {"bogus": Interval(0, 1)})
+        with pytest.raises(AssignmentError, match="'bogus'"):
+            event_probability(iris_model, {"bogus": frozenset([0])})
 
 
 class TestEventProbability:
