@@ -9,26 +9,23 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from . import experiments
 from .data import (AssignmentError, DataError, Dataset, emit_csv, ingest_csv,
                    load_schema_override, parse_assignment)
-from .inference import (ZeroEvidenceError, event_probability,
+from .inference import (MAX_SAMPLE_COUNT, ZeroEvidenceError, event_probability,
                         expectation_query, log_likelihood, mpe, sample)
 from .learner import LearnerConfig, learn
 from .model_io import ModelFormatError, export_dot, load, save
-from .plcdf import DistributionError
+from .plcdf import DistributionError, confidence_level
 
 EXIT_OK = 0
 EXIT_DATA = 1
 EXIT_USAGE = 2
 EXIT_ZERO_EVIDENCE = 3
-
-
-# the largest count a sample can index
-_MAX_COUNT = int(np.iinfo(np.intp).max)
 
 
 def _parse_min_samples(text: str):
@@ -66,12 +63,13 @@ _parse_seed = _int_at_least(0, "seed")
 
 def _parse_confidence(text: str) -> float:
     try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid confidence {text!r}") from None
-    if not 0.0 <= v <= 1.0:  # NaN included
-        raise argparse.ArgumentTypeError("confidence must lie in [0, 1]")
-    return v
+        return confidence_level(float(text))
+    except ValueError as exc:  # DistributionError is one
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _parse_targets(text: str):
+    return tuple(t.strip() for t in text.split(",")) if text else None
 
 
 def _parse_fractions(text: str) -> tuple[float, ...]:
@@ -91,29 +89,31 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="learn a model from a CSV file")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--min-samples-leaf", type=_parse_min_samples, default=0.1)
-    p.add_argument("--min-impurity-improvement", type=float, default=0.0)
-    p.add_argument("--epsilon", type=float, default=0.05)
-    p.add_argument("--targets", help="comma-separated target variables "
-                                     "(discriminative mode)")
+    p.add_argument("--min-samples-leaf", type=_parse_min_samples)
+    p.add_argument("--min-impurity-improvement", type=float)
+    p.add_argument("--epsilon", type=float)
+    p.add_argument("--targets", type=_parse_targets, help="comma-separated target variables "
+                                                          "(discriminative mode)")
     p.add_argument("--schema", help="sidecar JSON with column kind overrides")
     p.add_argument("--max-depth", type=int)
-    p.add_argument("--seed", type=_parse_seed, help="accepted for interface symmetry; "
-                                                    "training is deterministic")
+    p.set_defaults(run=_cmd_train, **asdict(LearnerConfig()))
 
     p = sub.add_parser("query", help="posterior probability, expectation or MPE")
     p.add_argument("--model", required=True)
-    p.add_argument("--q", help="query constraints")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--q", help="query constraints")
+    mode.add_argument("--expect", help="numeric variable to report E(var | e)")
+    mode.add_argument("--mpe", action="store_true")
     p.add_argument("--e", help="evidence constraints")
-    p.add_argument("--expect", help="numeric variable to report E(var | e)")
     p.add_argument("--confidence", type=_parse_confidence, default=0.95)
-    p.add_argument("--mpe", action="store_true")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=_cmd_query)
 
     p = sub.add_parser("likelihood", help="average log-likelihood of a dataset")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=_cmd_likelihood)
 
     p = sub.add_parser("sample", help="draw samples from the model")
     p.add_argument("--model", required=True)
@@ -121,10 +121,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e", help="evidence constraints")
     p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--out", help="output CSV (default: stdout)")
+    p.set_defaults(run=_cmd_sample)
 
     p = sub.add_parser("export", help="export the tree structure")
     p.add_argument("--model", required=True)
     p.add_argument("--dot", required=True)
+    p.set_defaults(run=_cmd_export)
 
     p = sub.add_parser("eval", help="run a built-in experiment")
     p.add_argument("--experiment", required=True, choices=["toy", "regression", "uci"])
@@ -133,17 +135,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_at_least(2, "sample size"), default=1000)
     p.add_argument("--fractions", type=_parse_fractions, default="0.2,0.1,0.05,0.02,0.01")
     p.add_argument("--out", help="report JSON (default: stdout)")
+    p.set_defaults(run=_cmd_eval)
     return parser
 
 
 def _cmd_train(args) -> int:
     override = load_schema_override(args.schema) if args.schema else None
     data = ingest_csv(args.data, override)
-    targets = tuple(t.strip() for t in args.targets.split(",")) if args.targets else None
-    config = LearnerConfig(min_samples_leaf=args.min_samples_leaf,
-                           min_impurity_improvement=args.min_impurity_improvement,
-                           epsilon=args.epsilon, targets=targets,
-                           max_depth=args.max_depth)
+    config = LearnerConfig(**{f.name: getattr(args, f.name) for f in fields(LearnerConfig)})
     model = learn(data, config)
     save(model, args.out)
     avg, zero = log_likelihood(model, data)
@@ -212,8 +211,8 @@ def _in_domain(data: Dataset, schema) -> Dataset:
 
 
 def _cmd_sample(args) -> int:
-    if not 1 <= args.n <= _MAX_COUNT:
-        print(f"error: sample count must lie in [1, {_MAX_COUNT}]", file=sys.stderr)
+    if not 1 <= args.n <= MAX_SAMPLE_COUNT:
+        print(f"error: sample count must lie in [1, {MAX_SAMPLE_COUNT}]", file=sys.stderr)
         return EXIT_USAGE
     model = load(args.model)
     e = parse_assignment(args.e, model.schema) if args.e else None
@@ -230,22 +229,17 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    fractions = args.fractions
-    if args.experiment == "toy":
-        data = experiments.gen_gaussian_toy(args.n, args.seed)
-        report = experiments.run_likelihood_sweep(data, fractions, args.seed)
-        report["experiment"] = "toy"
-    elif args.experiment == "regression":
+    if args.experiment == "regression":
         report = experiments.run_regression_experiment(n=args.n, seed=args.seed,
-                                                       fractions=fractions)
-        report["experiment"] = "regression"
+                                                       fractions=args.fractions)
+    elif args.experiment == "uci" and not args.data:
+        print("error: --data is required for the uci experiment", file=sys.stderr)
+        return EXIT_USAGE
     else:
-        if not args.data:
-            print("error: --data is required for the uci experiment", file=sys.stderr)
-            return EXIT_USAGE
-        data = ingest_csv(args.data)
-        report = experiments.run_likelihood_sweep(data, fractions, args.seed)
-        report["experiment"] = "uci"
+        data = (ingest_csv(args.data) if args.experiment == "uci"
+                else experiments.gen_gaussian_toy(args.n, args.seed))
+        report = experiments.run_likelihood_sweep(data, args.fractions, args.seed)
+    report["experiment"] = args.experiment
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -255,21 +249,10 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "train": _cmd_train,
-    "query": _cmd_query,
-    "likelihood": _cmd_likelihood,
-    "sample": _cmd_sample,
-    "export": _cmd_export,
-    "eval": _cmd_eval,
-}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except ZeroEvidenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ZERO_EVIDENCE

@@ -24,6 +24,11 @@ MIX_WEIGHTS = (0.3, 0.4, 0.3)
 MIX_MEANS = (-4.0, 0.0, 5.0)
 MIX_SIGMAS = (1.0, 0.8, 1.5)
 
+# x*sin(x) regression: noise on y, range of x, half-width of the evidence window.
+XSINX_NOISE_SIGMA = 1.0
+XSINX_RANGE = (0.0, 10.0)
+XSINX_DELTA = 0.05
+
 
 def gen_gaussian_toy(n: int, seed: int) -> Dataset:
     """Two labeled, approximately normal 2-D clusters (columns X, Y, color)."""
@@ -47,10 +52,7 @@ def gen_gaussian_toy(n: int, seed: int) -> Dataset:
 class GaussianMixture1D:
     """Reference mixture with exact log-density, for likelihood comparisons."""
 
-    def __init__(self, weights=MIX_WEIGHTS, means=MIX_MEANS, sigmas=MIX_SIGMAS):
-        self.weights = np.asarray(weights, dtype=float)
-        self.means = np.asarray(means, dtype=float)
-        self.sigmas = np.asarray(sigmas, dtype=float)
+    weights, means, sigmas = (np.array(a) for a in (MIX_WEIGHTS, MIX_MEANS, MIX_SIGMAS))
 
     def sample(self, rng, n: int) -> np.ndarray:
         comp = rng.choice(len(self.weights), size=n, p=self.weights)
@@ -93,15 +95,15 @@ def run_cdf_fit_experiment(n: int = 1000, holdout: int = 500, seed: int = 0,
     return report
 
 
-def _xsinx_sample(rng, n: int, noise_sigma: float, x_range):
-    x = rng.uniform(x_range[0], x_range[1], n)
-    y = x * np.sin(x) + rng.normal(0.0, noise_sigma, n)
+def _xsinx_sample(rng, n: int):
+    x = rng.uniform(XSINX_RANGE[0], XSINX_RANGE[1], n)
+    y = x * np.sin(x) + rng.normal(0.0, XSINX_NOISE_SIGMA, n)
     return x, y
 
 
-def _jpt_predict(model: TreeModel, x0: float, delta: float, x_range) -> float:
+def _jpt_predict(model: TreeModel, x0: float) -> float:
     """E(y | x around x0); the evidence window widens on zero-mass gaps."""
-    width = delta
+    width = XSINX_DELTA
     while True:
         e = {"x": Interval(x0 - width, x0 + width)}
         try:
@@ -109,14 +111,12 @@ def _jpt_predict(model: TreeModel, x0: float, delta: float, x_range) -> float:
             return mean
         except ZeroEvidenceError:
             width *= 2.0
-            if width > (x_range[1] - x_range[0]):
+            if width > (XSINX_RANGE[1] - XSINX_RANGE[0]):
                 raise
 
 
-def run_regression_experiment(n: int = 1000, noise_sigma: float = 1.0,
-                              fractions=(0.2, 0.1, 0.05, 0.02, 0.01),
-                              seed: int = 0, n_test: int = 300,
-                              x_range=(0.0, 10.0), delta: float = 0.05) -> dict:
+def run_regression_experiment(n: int = 1000, fractions=(0.2, 0.1, 0.05, 0.02, 0.01),
+                              seed: int = 0, n_test: int = 300) -> dict:
     """x*sin(x) regression: generative tree vs discriminative CART baseline.
 
     For each min-samples fraction, both models are trained on the same
@@ -124,17 +124,17 @@ def run_regression_experiment(n: int = 1000, noise_sigma: float = 1.0,
     on a held-out sample from the same process.
     """
     rng = np.random.default_rng(seed)
-    x, y = _xsinx_sample(rng, n, noise_sigma, x_range)
-    xt, yt = _xsinx_sample(rng, n_test, noise_sigma, x_range)
+    x, y = _xsinx_sample(rng, n)
+    xt, yt = _xsinx_sample(rng, n_test)
     schema = (Variable("x", "numeric"), Variable("y", "numeric"))
     train = Dataset(schema, np.column_stack([x, y]))
-    report = {"n": n, "n_test": n_test, "noise_sigma": noise_sigma,
-              "x_range": list(x_range), "delta": delta, "seed": seed,
+    report = {"n": n, "n_test": n_test, "noise_sigma": XSINX_NOISE_SIGMA,
+              "x_range": list(XSINX_RANGE), "delta": XSINX_DELTA, "seed": seed,
               "rows": []}
     for frac in fractions:
         gen = learn(train, LearnerConfig(min_samples_leaf=frac))
         cart = learn(train, LearnerConfig(min_samples_leaf=frac, targets=("y",)))
-        jpt_pred = np.array([_jpt_predict(gen, float(v), delta, x_range) for v in xt])
+        jpt_pred = np.array([_jpt_predict(gen, float(v)) for v in xt])
         means = np.array([leaf.distributions["y"].expectation() for leaf in cart.leaves])
         cart_pred = means[cart.route(np.column_stack([xt, np.zeros(n_test)]))]
         report["rows"].append({
@@ -148,7 +148,7 @@ def run_regression_experiment(n: int = 1000, noise_sigma: float = 1.0,
 
 
 def run_likelihood_sweep(data: Dataset, fractions=(0.9, 0.4, 0.2, 0.1),
-                         seed: int = 0, epsilon: float = 0.05) -> dict:
+                         seed: int = 0) -> dict:
     """Train/test likelihood and model size across min-samples fractions.
 
     Uses a seeded 90/10 split; model size counts stored parameters (hinges
@@ -160,9 +160,9 @@ def run_likelihood_sweep(data: Dataset, fractions=(0.9, 0.4, 0.2, 0.1),
     test = data.subset(perm[:n_test])
     train = data.subset(perm[n_test:])
     report = {"n_train": len(train), "n_test": len(test), "seed": seed,
-              "epsilon": epsilon, "rows": []}
+              "epsilon": LearnerConfig.epsilon, "rows": []}
     for frac in fractions:
-        model = learn(train, LearnerConfig(min_samples_leaf=frac, epsilon=epsilon))
+        model = learn(train, LearnerConfig(min_samples_leaf=frac))
         train_ll, train_zero = log_likelihood(model, train)
         test_ll, test_zero = log_likelihood(model, test)
         report["rows"].append({

@@ -14,15 +14,27 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from .data import Assignment, AssignmentError, DataError, Dataset, Interval, as_float
+from .data import Assignment, AssignmentError, Dataset, Interval, Variable, as_float
 from .leaftable import first_at_least, steepest
 from .learner import TreeModel
 from .multinomial import Multinomial
 from .plcdf import PiecewiseLinearCDF, confidence_level
 
 
+#: the largest sample count: the largest index of an array
+MAX_SAMPLE_COUNT = int(np.iinfo(np.intp).max)
+
+
 class ZeroEvidenceError(ValueError):
     """Evidence has zero probability under the model."""
+
+
+def _variable(model: TreeModel, name, what: str) -> Variable:
+    """The model's variable ``name``, which ``what`` names."""
+    for var in model.schema:
+        if var.name == name:
+            return var
+    raise AssignmentError(f"{what} names unknown variable {name!r}")
 
 
 def _validate(model: TreeModel, a: Assignment | None, what: str) -> Assignment:
@@ -30,10 +42,7 @@ def _validate(model: TreeModel, a: Assignment | None, what: str) -> Assignment:
     if not isinstance(a, Mapping):
         raise AssignmentError(f"{what} must be a mapping, not a {type(a).__name__}")
     for name, constraint in a.items():
-        try:
-            var = model.variable(name)
-        except DataError:
-            raise AssignmentError(f"{what} names unknown variable {name!r}") from None
+        var = _variable(model, name, what)
         if var.numeric:
             if not isinstance(constraint, Interval):
                 raise AssignmentError(f"{what} for numeric {name!r} must be an interval")
@@ -167,7 +176,7 @@ def expectation_query(model: TreeModel, target: str,
     its mean, the mixture mean ``sum_k P(leaf k | e) * E[target | leaf k, e]``,
     and its confidence interval, widened to contain the mean."""
     theta = confidence_level(theta)
-    var = model.variable(target)
+    var = _variable(model, target, "expectation target")
     if not var.numeric:
         raise AssignmentError(
             f"{target!r} is symbolic; use posterior_distributions instead")
@@ -254,8 +263,10 @@ def sample(model: TreeModel, n: int, rng, e: Assignment | None = None) -> Datase
     variable independently from its (conditioned) leaf distribution. The
     leaves take the first draws of ``rng``, then each variable in schema
     order the next ``n`` uniforms, inverted against its row's leaf."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise AssignmentError(f"sample count must be an integer >= 1, got {n!r}")
+    if (isinstance(n, bool) or not isinstance(n, numbers.Integral)
+            or not 1 <= n <= MAX_SAMPLE_COUNT):
+        raise AssignmentError(f"sample count must be an integer in [1, {MAX_SAMPLE_COUNT}], "
+                              f"got {n!r}")
     w, columns = _conditioned(model, e, [var.name for var in model.schema])
     leaf = rng.choice(len(w), size=n, p=w)
     values = np.empty((n, len(model.schema)))

@@ -11,7 +11,7 @@ over every variable, so the whole tree forms a mixture model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from typing import NamedTuple
 
@@ -201,8 +201,11 @@ class LearnerConfig:
         d = self.max_depth
         if d is not None and (isinstance(d, bool) or not isinstance(d, int) or d < 0):
             raise DataError("max_depth must be an integer >= 0")
-        if self.targets is not None and not all(isinstance(t, str) for t in self.targets):
-            raise DataError("targets must be variable names")
+        if self.targets is not None:
+            if not all(isinstance(t, str) for t in self.targets):
+                raise DataError("targets must be variable names")
+            if len(set(self.targets)) != len(self.targets):
+                raise DataError(f"targets name a variable twice: {list(self.targets)}")
 
     def resolve_min_weight(self, total_weight: float) -> float:
         m = self.min_samples_leaf
@@ -211,26 +214,18 @@ class LearnerConfig:
         return float(m)
 
     def to_json(self) -> dict:
-        return {
-            "min_samples_leaf": self.min_samples_leaf,
-            "min_impurity_improvement": self.min_impurity_improvement,
-            "epsilon": self.epsilon,
-            "targets": list(self.targets) if self.targets else None,
-            "max_depth": self.max_depth,
-        }
+        return {**asdict(self), "targets": list(self.targets) if self.targets else None}
 
     @staticmethod
     def from_json(obj: dict) -> "LearnerConfig":
-        targets = obj.get("targets")
+        """The config of ``to_json``'s object; a missing field takes its default."""
+        if not isinstance(obj, dict):
+            raise DataError(f"a config must be an object, not a {type(obj).__name__}")
+        given = {f.name: obj[f.name] for f in fields(LearnerConfig) if f.name in obj}
+        targets = given.pop("targets", None)
         if targets is not None and not isinstance(targets, list):
             raise DataError("targets must be a list of variable names")
-        return LearnerConfig(
-            min_samples_leaf=obj.get("min_samples_leaf", 0.1),
-            min_impurity_improvement=obj.get("min_impurity_improvement", 0.0),
-            epsilon=obj.get("epsilon", 0.05),
-            targets=tuple(targets) if targets else None,
-            max_depth=obj.get("max_depth"),
-        )
+        return LearnerConfig(**given, targets=tuple(targets) if targets else None)
 
 
 # -- impurity ----------------------------------------------------------------
@@ -345,10 +340,9 @@ def impurity_improvement(data: Dataset, candidate: SplitCriterion,
                          scope=None) -> float:
     """Improvement of one candidate split over ``data``, scored on ``scope``
     (variable names; defaults to all variables)."""
-    names = [v.name for v in data.schema]
-    scope_idx = ([names.index(n) for n in scope] if scope is not None
-                 else list(range(len(names))))
-    j = names.index(candidate.variable.name)
+    scope_idx = ([data.column_index(n) for n in scope] if scope is not None
+                 else list(range(len(data.schema))))
+    j = data.column_index(candidate.variable.name)
     left = candidate.matches(data.values[:, j])
     if not left.any() or left.all():
         raise DataError("candidate split leaves one side empty")
@@ -440,18 +434,13 @@ def learn(data: Dataset, config: LearnerConfig | None = None) -> TreeModel:
     if len(data) == 0:
         raise DataError("cannot learn from an empty dataset")
     schema = data.schema
-    names = [v.name for v in schema]
     if config.targets:
-        unknown = set(config.targets) - set(names)
-        if unknown:
-            raise DataError(f"unknown target variables: {sorted(unknown)}")
-        scope_idx = [names.index(n) for n in config.targets]
-        candidate_idx = [j for j in range(len(names)) if j not in scope_idx]
+        scope_idx = [data.column_index(n) for n in config.targets]
+        candidate_idx = [j for j in range(len(schema)) if j not in scope_idx]
         if not candidate_idx:
             raise DataError("discriminative mode needs at least one feature variable")
     else:
-        scope_idx = list(range(len(names)))
-        candidate_idx = list(range(len(names)))
+        scope_idx = candidate_idx = list(range(len(schema)))
 
     # the split scorer sums w*x*x per numeric column (an infinite x*x too)
     with np.errstate(over="ignore"):

@@ -7,11 +7,11 @@ import math
 
 import numpy as np
 
-from .data import Variable, is_number
+from .data import Variable, as_float
 from .leaftable import LeafTable, regions
 from .learner import LearnerConfig, Tree, TreeModel
-from .multinomial import histograms_from_json
-from .plcdf import ColumnError, DistributionError, cdfs_from_json
+from .multinomial import histograms_from_json, histograms_to_json
+from .plcdf import ColumnError, DistributionError, cdfs_from_json, cdfs_to_json
 
 FORMAT_VERSION = 1
 
@@ -30,17 +30,9 @@ def dumps(model: TreeModel) -> str:
                      {"type": "split", "var": var.name, "op": "le" if var.numeric else "eq",
                       "value": value if var.numeric else var.domain[int(value)],
                       "left": left, "right": right})
-    t, columns = model.table, []
-    for var in model.schema:  # each leaf's distributions, as to_json writes them
-        packed = t.store[var.name]
-        if var.symbolic:
-            domain = list(var.domain)
-            columns.append([{"domain": domain, "p": p} for p in packed.tolist()])
-            continue
-        x, F, first, last = (a.tolist() for a in packed)
-        columns.append([{"dirac": x[a]} if a == b else
-                        {"hinges": list(zip(x[a:b + 1], F[a:b + 1]))}
-                        for a, b in zip(first, last)])
+    t = model.table
+    columns = [histograms_to_json(var, t.store[var.name]) if var.symbolic
+               else cdfs_to_json(*t.store[var.name]) for var in model.schema]
     names = [var.name for var in model.schema]
     doc = {
         "version": FORMAT_VERSION,
@@ -187,12 +179,8 @@ def _nodes(nodes, schema, n_leaves: int) -> Tree:
 def _json_float(value) -> float:
     """A JSON number as a float, and NaN for any other value: a boolean, a
     string, or an integer beyond the float range."""
-    if not is_number(value):
-        return math.nan
-    try:
-        return float(value)
-    except OverflowError:
-        return math.nan
+    v = as_float(value)
+    return math.nan if v is None else v
 
 
 def _is_index(value, n: int) -> bool:

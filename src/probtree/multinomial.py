@@ -97,7 +97,7 @@ class Multinomial:
         return len(self.p)
 
     def to_json(self) -> dict:
-        return {"domain": list(self.variable.domain), "p": [float(v) for v in self.p]}
+        return histograms_to_json(self.variable, self.p[None])[0]
 
     @staticmethod
     def from_json(variable: Variable, obj: dict) -> "Multinomial":
@@ -148,6 +148,13 @@ def histograms_from_json(variable: Variable, objs) -> np.ndarray:
         raise ColumnError(int(bad.argmax()), _IMPROPER)
     p.setflags(write=False)
     return p
+
+
+def histograms_to_json(variable: Variable, p) -> list[dict]:
+    """The JSON objects that ``histograms_from_json`` reads back into the
+    [leaf, k] table ``p``, one per row."""
+    domain = list(variable.domain)
+    return [{"domain": domain, "p": row} for row in p.tolist()]
 
 
 def packed_histograms(variable: Variable, p) -> list[Multinomial]:

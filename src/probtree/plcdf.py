@@ -73,7 +73,7 @@ class PiecewiseLinearCDF:
     The mass of a closed interval ``[l, u]`` is ``F(u) - F(l-)``.
     """
 
-    __slots__ = ("x", "F", "_steps")
+    __slots__ = ("x", "F")
 
     def __init__(self, hinges):
         arr = number_table(hinges, 2)
@@ -84,27 +84,21 @@ class PiecewiseLinearCDF:
             raise DistributionError(fault[1])
         xF = arr.T.copy()
         xF.setflags(write=False)
-        self.x = x = xF[0]
-        self.F = xF[1]
-        # whether an x repeats: only then can an atom sit above x[0]
-        self._steps = np.count_nonzero(x[1:] == x[:-1]) > 0
+        self.x, self.F = xF
 
     # -- evaluation ---------------------------------------------------------
 
     def cdf(self, x: float) -> float:
-        if x < self.x[0]:
-            return 0.0
-        if x >= self.x[-1]:
-            return 1.0
-        return float(np.interp(x, self.x, self.F))
+        return float(self.cdf_vec([x])[0])
 
     def cdf_left(self, x: float) -> float:
         """Left limit F(x-), the mass below ``x``; equal to ``cdf(x)``
         wherever there is no atom at ``x``."""
         if x <= self.x[0]:
             return 0.0
-        if self._steps and x <= self.x[-1]:
-            j = self.x.searchsorted(x)  # first hinge at or above x
+        if x <= self.x[-1]:
+            # the first hinge at or above x holds F(x-) at a step, F(x) elsewhere
+            j = self.x.searchsorted(x)
             if self.x[j] == x:
                 return float(self.F[j])
         return self.cdf(x)
@@ -210,9 +204,7 @@ class PiecewiseLinearCDF:
         return len(self.x)
 
     def to_json(self) -> dict:
-        if len(self.x) == 1:
-            return {"dirac": float(self.x[0])}
-        return {"hinges": [[float(a), float(b)] for a, b in zip(self.x, self.F)]}
+        return cdfs_to_json(self.x, self.F, [0], [len(self.x) - 1])[0]
 
     def __eq__(self, other):
         return (isinstance(other, PiecewiseLinearCDF)
@@ -368,13 +360,22 @@ def cdfs_from_json(objs):
     return xF[0], xF[1], first, last
 
 
+def cdfs_to_json(x, F, first, last) -> list[dict]:
+    """The JSON objects that ``cdfs_from_json`` reads back into the packed
+    hinges ``(x, F, first, last)``, one per entry."""
+    x, F = x.tolist(), F.tolist()
+    return [{"dirac": x[a]} if a == b else
+            {"hinges": list(map(list, zip(x[a:b + 1], F[a:b + 1])))}
+            for a, b in zip(first, last)]
+
+
 def packed_cdfs(x, F, first, last) -> list[PiecewiseLinearCDF]:
     """The step-free CDFs of packed hinges, each with read-only views
     ``x[a:b]`` and ``F[a:b]`` of the arrays."""
     out = []
     for a, b in zip(first.tolist(), (last + 1).tolist()):
         d = PiecewiseLinearCDF.__new__(PiecewiseLinearCDF)
-        d.x, d.F, d._steps = x[a:b], F[a:b], False
+        d.x, d.F = x[a:b], F[a:b]
         out.append(d)
     return out
 

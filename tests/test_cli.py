@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from probtree import (Dataset, LearnerConfig, Variable, ingest_csv, learn, load, log_likelihood,
                       save)
 from probtree.cli import main
+from probtree.experiments import run_likelihood_sweep
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -60,6 +61,13 @@ class TestTrain:
     def test_nan_epsilon_exits_1(self, iris_csv, tmp_path, capsys):
         code = main(["train", "--data", str(iris_csv), "--out", str(tmp_path / "m.json"),
                      "--epsilon", "nan"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "m.json").exists()
+
+    def test_repeated_target_exits_1(self, iris_csv, tmp_path, capsys):
+        code = main(["train", "--data", str(iris_csv), "--out", str(tmp_path / "m.json"),
+                     "--targets", "species,species"])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "m.json").exists()
@@ -311,6 +319,14 @@ class TestEval:
     def test_uci_requires_data(self, capsys):
         assert main(["eval", "--experiment", "uci"]) == 2
 
+    def test_uci_report_is_the_likelihood_sweep(self, iris_csv, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["eval", "--experiment", "uci", "--data", str(iris_csv),
+                     "--fractions", "0.5,0.2", "--seed", "3", "--out", str(out)]) == 0
+        expected = run_likelihood_sweep(ingest_csv(iris_csv), (0.5, 0.2), 3)
+        expected["experiment"] = "uci"
+        assert out.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
     def test_report_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
@@ -319,9 +335,16 @@ class TestEval:
         assert a.read_bytes() == b.read_bytes()
 
 
-# flags whose values argparse's own types accept but the program cannot use;
+# flags that the program cannot use: values that argparse's own types accept,
+# query modes given together, and a flag that the command does not take;
 # "{data}", "{model}" and "{out}" are filled in per test
 BAD_FLAGS = {
+    "train-seed": ["train", "--data", "{data}", "--out", "{out}", "--seed", "1"],
+    "query-q-and-mpe": ["query", "--model", "{model}", "--q", "species = setosa", "--mpe"],
+    "query-q-and-expect": ["query", "--model", "{model}", "--q", "species = setosa",
+                           "--expect", "petal_length"],
+    "query-expect-and-mpe": ["query", "--model", "{model}", "--expect", "petal_length",
+                             "--mpe"],
     "train-min-samples-leaf-huge-int": ["train", "--data", "{data}", "--out", "{out}",
                                         "--min-samples-leaf", "1" + "0" * 400],
     "sample-negative-seed": ["sample", "--model", "{model}", "-n", "5", "--seed", "-1"],

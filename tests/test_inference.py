@@ -11,7 +11,7 @@ from probtree import (AssignmentError, DataError, Dataset, Dirac, DistributionEr
                       ZeroEvidenceError, event_probability, expectation_query,
                       ingest_csv, leaf_posterior, learn, log_likelihood,
                       make_assignment, mpe, posterior_distributions, sample)
-from probtree.inference import _merge_numeric
+from probtree.inference import MAX_SAMPLE_COUNT, _merge_numeric
 from probtree.leaftable import LeafTable
 
 from conftest import hand_model, reference_paths
@@ -170,9 +170,11 @@ def with_a_good_constraint(name, bad, good, where):
     return [{name: bad}, {name: bad, other: good[other]}, {other: good[other], name: bad}][where]
 
 
-# sample counts that are not integers >= 1
-BAD_N = st.one_of(st.integers(max_value=0), st.booleans(), st.none(), st.text(max_size=2),
-                  st.floats(), st.sampled_from([np.int64(0), np.float64(3.0), 2.5, [3], b"3"]))
+# sample counts that are not integers from 1 to the largest index
+BAD_N = st.one_of(st.integers(max_value=0), st.integers(min_value=MAX_SAMPLE_COUNT + 1),
+                  st.booleans(), st.none(), st.text(max_size=2), st.floats(),
+                  st.sampled_from([np.int64(0), np.float64(3.0), 2.5, [3], b"3",
+                                   np.uint64(2 ** 64 - 1)]))
 # assignments that are not mappings, of names to good constraints or not
 NOT_A_MAPPING = st.one_of(
     st.lists(st.sampled_from([("x", Interval(0.0, 1.0)), ("x", 1), ("c", frozenset({0})),
@@ -238,6 +240,8 @@ class TestMalformedArguments:
     @example(bad=("n", 2.5))
     @example(bad=("n", "3"))
     @example(bad=("n", True))
+    @example(bad=("n", 2 ** 63))
+    @example(bad=("n", 10 ** 30))
     @example(bad=("assignment", [("x", Interval(0.0, 1.0))]))
     @example(bad=("theta", "0.9"))
     def test_typed_errors(self, bad):
@@ -347,6 +351,8 @@ class TestLeafPosterior:
             leaf_posterior(iris_model, {"bogus": Interval(0, 1)})
         with pytest.raises(AssignmentError, match="'bogus'"):
             event_probability(iris_model, {"bogus": frozenset([0])})
+        with pytest.raises(AssignmentError, match="'bogus'"):
+            expectation_query(iris_model, "bogus")
 
 
 class TestEventProbability:

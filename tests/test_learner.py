@@ -56,6 +56,15 @@ class TestImpurityImprovement:
         with pytest.raises(DataError):
             impurity_improvement(ds, cand)
 
+    def test_unknown_names_rejected(self):
+        ds = two_symbol_dataset()
+        with pytest.raises(DataError, match="'v2'"):
+            impurity_improvement(ds, SplitCriterion(ds.schema[0], EQUALS, value_index=0),
+                                 scope=["v1", "v2"])
+        stranger = Variable("v2", "symbolic", ("a", "b"))
+        with pytest.raises(DataError, match="'v2'"):
+            impurity_improvement(ds, SplitCriterion(stranger, EQUALS, value_index=0))
+
 
 def random_mixed_dataset(rng, weighted):
     n = int(rng.integers(20, 120))
@@ -176,6 +185,14 @@ class TestConfig:
         cfg = LearnerConfig(min_samples_leaf=5, epsilon=0.01,
                             targets=("species",), max_depth=3)
         assert LearnerConfig.from_json(cfg.to_json()) == cfg
+
+    def test_missing_json_fields_take_the_defaults(self):
+        assert LearnerConfig.from_json({}) == LearnerConfig()
+        assert LearnerConfig.from_json({"epsilon": 0.2}) == LearnerConfig(epsilon=0.2)
+
+    def test_repeated_target_rejected(self):
+        with pytest.raises(DataError, match="species"):
+            LearnerConfig(targets=("species", "species"))
 
 
 class TestLearn:

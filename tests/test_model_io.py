@@ -286,6 +286,8 @@ MALFORMED.update({
     # a string must not be read as its characters
     "targets-string": lambda d: d["config"].update(targets="xs"),
     "targets-numbers": lambda d: d["config"].update(targets=[1]),
+    "targets-repeated": lambda d: d["config"].update(targets=["s", "s"]),
+    "config-list": lambda d: d.update(config=[]),
     "schema-domain-string": lambda d: d["schema"][1].update(domain="abc"),
     "domain-numbers": _number_labels,
 })

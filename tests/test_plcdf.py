@@ -502,7 +502,8 @@ class TestPackedColumn:
         expected = None
         for k, hinges in enumerate(entries):
             try:
-                if PiecewiseLinearCDF(hinges)._steps:
+                PiecewiseLinearCDF(hinges)
+                if any(a[0] == b[0] for a, b in zip(hinges, hinges[1:])):
                     expected = (k, "leaf hinge x values must be strictly increasing")
             except DistributionError as exc:
                 expected = (k, str(exc))
