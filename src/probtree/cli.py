@@ -29,19 +29,16 @@ EXIT_ZERO_EVIDENCE = 3
 
 
 def _parse_min_samples(text: str):
+    """An argparse type: a number, an int unless written with a point or an
+    exponent, that ``LearnerConfig`` takes as ``min_samples_leaf``."""
     try:
-        if "." in text or "e" in text.lower():
-            v = float(text)
-        else:
-            v = int(text)
-            float(v)
-            return v
+        v = float(text) if "." in text or "e" in text.lower() else int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid min-samples-leaf {text!r}") from None
-    except OverflowError:
-        raise argparse.ArgumentTypeError("min-samples-leaf is beyond the float range") from None
-    if not 0.0 < v < 1.0:
-        raise argparse.ArgumentTypeError("fractional min-samples-leaf must lie in (0, 1)")
+    try:
+        LearnerConfig(min_samples_leaf=v)
+    except DataError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return v
 
 
@@ -153,6 +150,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_query(args) -> int:
+    if args.q is None and not args.expect and not args.mpe:
+        print("error: query needs one of --q, --expect or --mpe", file=sys.stderr)
+        return EXIT_USAGE
     model = load(args.model)
     e = parse_assignment(args.e, model.schema) if args.e else {}
     if args.expect:
@@ -175,9 +175,6 @@ def _cmd_query(args) -> int:
             print(f"score (mixed mass/density, comparable only under the same "
                   f"evidence): {score:.6g}")
         return EXIT_OK
-    if args.q is None:
-        print("error: query needs one of --q, --expect or --mpe", file=sys.stderr)
-        return EXIT_USAGE
     q = parse_assignment(args.q, model.schema)
     p = event_probability(model, q, e)
     print(json.dumps({"probability": p}) if args.json else f"P(q | e) = {p:.10g}")

@@ -97,15 +97,6 @@ def _zero_explanation(model: TreeModel, e: Assignment) -> str:
     return f"evidence has zero probability under the model: {detail}"
 
 
-def _conditioned(model: TreeModel, e: Assignment | None, names):
-    """The positive posteriors P(leaf | e), and for each of ``names`` those
-    leaves' column conditioned on ``e``: packed hinges or histogram rows."""
-    posterior = leaf_posterior(model, e)
-    keep = np.flatnonzero(posterior)
-    e = e or {}
-    return posterior[keep], [model.table.column(n).conditioned(keep, e.get(n)) for n in names]
-
-
 def event_probability(model: TreeModel, q: Assignment,
                       e: Assignment | None = None) -> float:
     """Posterior query mass P(q | e): the leaf posterior times each query
@@ -132,40 +123,66 @@ def _running_sum(v) -> np.ndarray:
 
 def _merge_numeric(w, owner, x, F) -> PiecewiseLinearCDF:
     """The mixture CDF ``sum_k w_k F_k`` of step-free CDFs, packed as
-    ``NumericColumn.conditioned`` returns them, on the union of their hinges.
-    Between grid points it rises at the sum of the weighted slopes that enter
-    and leave at the pieces' ends, summed in order of position with
-    compensation: a steep piece between nearly coinciding hinges leaves no
-    rounding error in later slopes. A grid point above the first with some
-    first-hinge atoms becomes a step: the left limit, then the value."""
+    ``NumericColumn.conditioned`` returns them, on the union of their hinges:
+    the terms of ``NumericColumn.merge_terms``, with the grid from a sort and
+    the events in a stable counting sort by grid index, merged by
+    ``_mixture``."""
     xs, at = np.unique(x, return_inverse=True)
     piece = np.flatnonzero(owner[1:] == owner[:-1])  # from hinge j to hinge j + 1
     slope = w[owner[piece]] * (F[piece + 1] - F[piece]) / (x[piece + 1] - x[piece])
-    events = np.concatenate([at[piece], at[piece + 1]])
+    # numpy sorts integers of up to 16 bits stably by radix
+    events = np.concatenate([at[piece], at[piece + 1]]).astype(np.min_scalar_type(len(xs)))
     order = np.argsort(events, kind="stable")
-    # the slope right of each grid point: the sum of the events up to it
-    rate = _running_sum(np.concatenate([slope, -slope])[order])[
-        events[order].searchsorted(np.arange(len(xs)), side="right")]
     first = np.flatnonzero(np.diff(owner, prepend=-1))
-    atoms = np.bincount(at[first], weights=w * F[first], minlength=len(xs))
+    return _mixture(xs, events[order], np.concatenate([slope, -slope])[order],
+                    at[first], w * F[first])
+
+
+def _mixture(xs, events, slope, first, atom) -> PiecewiseLinearCDF:
+    """The mixture CDF on the grid ``xs`` from its terms: each piece event's
+    grid index and weighted slope, negative where the piece ends, in order
+    of grid index; and each leaf's first hinge's grid index and atom, in
+    leaf order. Between grid points it rises at the sum of the slopes of the
+    events up to the left one, summed in order with compensation: a steep
+    piece between nearly coinciding hinges leaves no rounding error in later
+    slopes. A grid point above the first with some atoms becomes a step: the
+    left limit, then the value."""
+    # the slope right of each grid point: the sum of the events up to it
+    rate = _running_sum(slope)[np.cumsum(np.bincount(events, minlength=len(xs)))]
+    atoms = np.bincount(first, weights=atom, minlength=len(xs))
     F = _running_sum(atoms + np.concatenate(([0.0], rate[:-1] * (xs[1:] - xs[:-1]))))[1:]
-    step = np.flatnonzero(atoms[1:] > 0.0) + 1  # F[0] itself is the atom at xs[0]
-    xs = np.insert(xs, step, xs[step])
-    F = np.insert(F, step, (F - atoms)[step]) / F[-1]  # the weights sum to 1 up to rounding
-    return PiecewiseLinearCDF(np.column_stack([xs, np.minimum(np.maximum.accumulate(F), 1.0)]))
+    step = atoms > 0.0
+    step[0] = False  # F[0] itself is the atom at xs[0]
+    xs, left = np.repeat(xs, 1 + step), np.flatnonzero(step)
+    G = np.repeat(F, 1 + step)
+    G[left + np.arange(len(left))] = (F - atoms)[left]
+    G /= F[-1]  # the weights sum to 1 up to rounding
+    return PiecewiseLinearCDF(np.column_stack([xs, np.minimum(np.maximum.accumulate(G), 1.0)]))
+
+
+def _marginal(column, posterior, given) -> PiecewiseLinearCDF:
+    """The merged posterior CDF of a numeric column: without evidence on it
+    from the column's order, otherwise from its conditioned leaves."""
+    if given is None:
+        return _mixture(*column.merge_terms(posterior))
+    keep = np.flatnonzero(posterior)
+    return _merge_numeric(posterior[keep], *column.conditioned(keep, given))
 
 
 def posterior_distributions(model: TreeModel, e: Assignment | None = None) -> dict:
     """Per-variable posterior marginals given evidence, as superimposed
     leaf distributions (the exact mixture CDF for numeric, histogram mixture
     for symbolic)."""
-    w, columns = _conditioned(model, e, [var.name for var in model.schema])
-    out = {}
-    for var, leaves in zip(model.schema, columns):
+    posterior = leaf_posterior(model, e)
+    keep = np.flatnonzero(posterior)
+    e, out = e or {}, {}
+    for var in model.schema:
+        column, given = model.table.column(var.name), e.get(var.name)
         if var.numeric:
-            out[var.name] = _merge_numeric(w, *leaves)
+            out[var.name] = _marginal(column, posterior, given)
         else:
-            p = np.cumsum(w[:, None] * leaves, axis=0)[-1]  # added in leaf order
+            p = np.cumsum(posterior[keep, None] * column.conditioned(keep, given),
+                          axis=0)[-1]  # added in leaf order
             out[var.name] = Multinomial(var, p / p.sum())
     return out
 
@@ -180,8 +197,8 @@ def expectation_query(model: TreeModel, target: str,
     if not var.numeric:
         raise AssignmentError(
             f"{target!r} is symbolic; use posterior_distributions instead")
-    w, (leaves,) = _conditioned(model, e, [target])
-    merged = _merge_numeric(w, *leaves)
+    posterior = leaf_posterior(model, e)
+    merged = _marginal(model.table.column(target), posterior, (e or {}).get(target))
     return (merged.expectation(), *merged.confidence_interval(theta))
 
 
@@ -267,7 +284,11 @@ def sample(model: TreeModel, n: int, rng, e: Assignment | None = None) -> Datase
             or not 1 <= n <= MAX_SAMPLE_COUNT):
         raise AssignmentError(f"sample count must be an integer in [1, {MAX_SAMPLE_COUNT}], "
                               f"got {n!r}")
-    w, columns = _conditioned(model, e, [var.name for var in model.schema])
+    posterior = leaf_posterior(model, e)
+    keep = np.flatnonzero(posterior)
+    w, e = posterior[keep], e or {}
+    columns = [model.table.column(var.name).conditioned(keep, e.get(var.name))
+               for var in model.schema]
     leaf = rng.choice(len(w), size=n, p=w)
     values = np.empty((n, len(model.schema)))
     block = 1 << 13  # rows drawn at once, which bounds the temporaries

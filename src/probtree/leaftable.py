@@ -12,8 +12,9 @@ per entry of it, or with ``conditioned`` those leaves' distributions
 conditioned on the evidence, packed as arrays.
 
 A column derives its search keys and slopes from the store the first time
-a query reads it, and its leaves' modes when first asked for: a command
-that reloads a model and asks one query derives only what that query reads.
+a query reads it, and its leaves' modes and its order of x when first asked
+for: a command that reloads a model and asks one query derives only what
+that query reads.
 """
 
 from __future__ import annotations
@@ -145,7 +146,7 @@ class NumericColumn:
         # sorted, since each leaf's hinges are
         self.keys = _keys(np.repeat(np.arange(len(first)), last - first + 1), x)
         _read_only(self.ending, self.keys)
-        self.modes = None
+        self.modes = self._order = None
 
     def locate(self, leaf, v):
         """For each leaf and value (v is a scalar or one value per leaf): the
@@ -210,6 +211,50 @@ class NumericColumn:
                                   self.x, self.F)
             _read_only(*self.modes)
         return self.modes[0][leaf], self.modes[1][leaf]
+
+    def merge_terms(self, weight):
+        """The terms of the mixture ``sum_k weight_k F_k`` of the stored CDFs
+        of the leaves with positive ``weight`` (one weight per leaf), as
+        ``inference._mixture`` merges them: the grid (their distinct x,
+        ascending); each piece event's grid index and weighted slope, which
+        is negative where the piece ends; and each leaf's first hinge's grid
+        index and atom ``weight * F``, in leaf order. The events come in
+        order of x, then starts before ends, then piece order, which is the
+        column's order that the first call derives, filtered: no sort. Of
+        hinges with equal x, the grid keeps the first in leaf order."""
+        if self._order is None:
+            self._order = self._sorted()
+        hinge, hinge_leaf, row, event_leaf, rise, run = self._order
+        kept = weight > 0.0
+        h = hinge[kept[hinge_leaf]]
+        x = self.x[h]
+        new = np.empty(len(x), dtype=bool)  # the first of each distinct x
+        new[:1] = True
+        np.not_equal(x[1:], x[:-1], out=new[1:])
+        at = np.empty(len(self.x), dtype=np.intp)  # each kept hinge's grid index
+        at[h] = np.cumsum(new) - 1
+        k = np.flatnonzero(kept[event_leaf])
+        leaf = np.flatnonzero(kept)
+        first = self.first[leaf]
+        return (x[new], at[row[k]], weight[event_leaf[k]] * rise[k] / run[k],
+                at[first], weight[leaf] * self.F[first])
+
+    def _sorted(self):
+        """The column's order: its hinges stable-sorted by x, and its
+        pieces' start and end events stable-sorted by x, starts before
+        ends, then piece order, with each event's hinge, leaf, rise in F
+        (negated for an end) and run in x."""
+        leaf = np.repeat(np.arange(len(self.first)), self.last - self.first + 1)
+        hinge = np.argsort(self.x, kind="stable")
+        piece = np.flatnonzero(leaf[1:] == leaf[:-1])  # from hinge j to hinge j + 1
+        ends = np.concatenate([piece, piece + 1])
+        event = np.argsort(self.x[ends], kind="stable")
+        p, row = np.concatenate([piece, piece])[event], ends[event]
+        rise = self.F[p + 1] - self.F[p]
+        np.negative(rise, out=rise, where=event >= len(piece))
+        order = hinge, leaf[hinge], row, leaf[row], rise, self.x[p + 1] - self.x[p]
+        _read_only(*order)
+        return order
 
     def cdf(self, leaf, v, crop):
         """Each leaf's cropped CDF at v (a scalar or one value per leaf), bit

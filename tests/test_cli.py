@@ -58,6 +58,23 @@ class TestTrain:
                   "--min-samples-leaf", "1.5"])
         assert exc.value.code == 2
 
+    def test_whole_float_min_samples_leaf_is_an_absolute_weight(self, iris_csv, tmp_path):
+        model = tmp_path / "m.json"
+        assert main(["train", "--data", str(iris_csv), "--out", str(model),
+                     "--min-samples-leaf", "2.0"]) == 0
+        assert load(model).config.min_samples_leaf == 2.0
+
+    @pytest.mark.parametrize("value", ["0", "-1", "1.5"])
+    def test_min_samples_leaf_that_the_config_rejects_exits_2(self, value, iris_csv,
+                                                              tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--data", str(iris_csv), "--out", str(tmp_path / "m.json"),
+                  "--min-samples-leaf", value])
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "min_samples_leaf" in errors[0], errors
+        assert not (tmp_path / "m.json").exists()
+
     def test_nan_epsilon_exits_1(self, iris_csv, tmp_path, capsys):
         code = main(["train", "--data", str(iris_csv), "--out", str(tmp_path / "m.json"),
                      "--epsilon", "nan"])
@@ -163,6 +180,10 @@ class TestQuery:
 
     def test_no_query_given(self, trained, capsys):
         assert main(["query", "--model", str(trained)]) == 2
+
+    def test_no_query_given_is_checked_before_the_model_is_read(self, tmp_path, capsys):
+        assert main(["query", "--model", str(tmp_path / "missing.json")]) == 2
+        assert "needs one of --q, --expect or --mpe" in capsys.readouterr().err
 
     def test_corrupt_model_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

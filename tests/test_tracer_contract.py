@@ -59,6 +59,10 @@ def test_traced_operations_record_nested_calls(iris):
             _, calls = calls_of(operation)
             assert calls.get(f"probtree.{name}", 0) == 1, name
             assert calls.get("inference.leaf_posterior", 0) == 1, name
+        # the tracer does not wrap expectation_query itself, only the one
+        # leaf_posterior call it makes
+        _, calls = calls_of(lambda: pt.expectation_query(model, "petal_width", e))
+        assert calls.get("inference.leaf_posterior", 0) == 1
     finally:
         tracer.uninstall()
     assert pt.learn is original_learn
