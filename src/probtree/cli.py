@@ -137,9 +137,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_train(args) -> int:
+    config = LearnerConfig(**{f.name: getattr(args, f.name) for f in fields(LearnerConfig)})
     override = load_schema_override(args.schema) if args.schema else None
     data = ingest_csv(args.data, override)
-    config = LearnerConfig(**{f.name: getattr(args, f.name) for f in fields(LearnerConfig)})
     model = learn(data, config)
     save(model, args.out)
     avg, zero = log_likelihood(model, data)

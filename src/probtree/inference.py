@@ -126,8 +126,9 @@ def _merge_numeric(w, owner, x, F) -> PiecewiseLinearCDF:
     ``NumericColumn.conditioned`` returns them, on the union of their hinges:
     the terms of ``NumericColumn.merge_terms``, with the grid from a sort and
     the events in a stable counting sort by grid index, merged by
-    ``_mixture``."""
+    ``_mixture``; a zero on the grid takes the sign of the first zero hinge."""
     xs, at = np.unique(x, return_inverse=True)
+    xs[xs == 0.0] = x[np.argmax(x == 0.0)]  # np.unique keeps either sign
     piece = np.flatnonzero(owner[1:] == owner[:-1])  # from hinge j to hinge j + 1
     slope = w[owner[piece]] * (F[piece + 1] - F[piece]) / (x[piece + 1] - x[piece])
     # numpy sorts integers of up to 16 bits stably by radix

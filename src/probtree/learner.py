@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import DataError, Dataset, Variable, is_number
+from .data import DataError, Dataset, Variable, as_float, is_number
 from .leaftable import LeafTable, regions
 from .multinomial import Multinomial, entropy_rel, packed_histograms
 from .plcdf import build_quantile_dataset, cdf_learn, packed_cdfs
@@ -25,34 +25,37 @@ from .plcdf import build_quantile_dataset, cdf_learn, packed_cdfs
 _PURE = 1e-12  # impurity at or below this counts as zero
 _BLOCK = 4096  # boundaries scored at once by the numeric split search
 
-THRESHOLD = "threshold"
-EQUALS = "equals"
+
+def goes_left(numeric, x, value):
+    """The child-path rule: x takes a split's left branch if x <= value for a
+    numeric variable and x == value for a symbolic one; element-wise."""
+    return np.where(numeric, x <= value, x == value)
 
 
 @dataclass(frozen=True)
 class SplitCriterion:
-    """Decision-node test: numeric ``x <= threshold`` or symbolic ``x == value``."""
+    """Decision-node test of ``variable`` against ``value``: a finite threshold
+    for a numeric variable, a domain index (a whole float too) for a symbolic one."""
 
     variable: Variable
-    kind: str
-    threshold: float = math.nan  # numeric splits
-    value_index: int = -1        # symbolic splits
+    value: float
+
+    def __post_init__(self):
+        var, v = self.variable, as_float(self.value)
+        if v is None or not (math.isfinite(v) if var.numeric
+                             else v.is_integer() and 0 <= v < len(var.domain)):
+            what = "a finite threshold" if var.numeric else "an index of its domain"
+            raise DataError(f"a split of {var.kind} {var.name!r} needs {what}, "
+                            f"got {self.value!r}")
 
     def matches(self, cell):
         """Whether a cell, or each cell of an array, takes the left branch."""
-        if self.kind == THRESHOLD:
-            return cell <= self.threshold
-        return cell == self.value_index
-
-    @property
-    def value(self) -> float:
-        """The threshold, or the value index: ``Tree.value`` of the node."""
-        return self.threshold if self.kind == THRESHOLD else self.value_index
+        return goes_left(self.variable.numeric, cell, self.value)
 
     def label(self) -> str:
-        if self.kind == THRESHOLD:
-            return f"{self.variable.name} <= {self.threshold:g}"
-        return f"{self.variable.name} = {self.variable.domain[self.value_index]}"
+        if self.variable.numeric:
+            return f"{self.variable.name} <= {self.value:g}"
+        return f"{self.variable.name} = {self.variable.domain[int(self.value)]}"
 
 
 @dataclass
@@ -66,12 +69,10 @@ class Leaf:
 
 
 class Tree(NamedTuple):
-    """A tree as node arrays, the layout of scikit-learn's ``Tree``. Node 0
-    is the root. Node i tests the schema variable ``feature[i]`` against
-    ``value[i]``: x <= the threshold for a numeric variable, x == the
-    domain index for a symbolic one. It goes to node ``left[i]`` if the
-    test holds and to ``right[i]`` otherwise. A leaf node has feature -1
-    and holds leaf ``leaf[i]``."""
+    """A tree as node arrays, the layout of scikit-learn's ``Tree``. Node 0 is
+    the root. Node i tests the schema variable ``feature[i]`` against
+    ``value[i]``: by ``goes_left`` it goes to node ``left[i]``, else to
+    ``right[i]``. A leaf node has feature -1 and holds leaf ``leaf[i]``."""
 
     feature: np.ndarray
     value: np.ndarray
@@ -99,9 +100,7 @@ class TreeModel:
 
     def criterion(self, i: int) -> SplitCriterion:
         """The test of split node ``i``."""
-        var, v = self.schema[self.tree.feature[i]], float(self.tree.value[i])
-        return (SplitCriterion(var, THRESHOLD, threshold=v) if var.numeric
-                else SplitCriterion(var, EQUALS, value_index=int(v)))
+        return SplitCriterion(self.schema[self.tree.feature[i]], float(self.tree.value[i]))
 
     @cached_property
     def leaves(self) -> list[Leaf]:
@@ -125,7 +124,7 @@ class TreeModel:
             inner = f >= 0
             rows, at, f = rows[inner], at[inner], f[inner]
             x, v = values[rows, f], t.value[at]
-            node[rows] = np.where(np.where(numeric[f], x <= v, x == v), t.left[at], t.right[at])
+            node[rows] = np.where(goes_left(numeric[f], x, v), t.left[at], t.right[at])
         return t.leaf[node]
 
     def descend(self, row) -> Leaf:
@@ -237,6 +236,11 @@ def _weighted_mse(values: np.ndarray, weights: np.ndarray) -> float:
     return float((weights * (values - mean) ** 2).sum() / total)
 
 
+def _counts(var: Variable, col: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The weight of each value of symbolic ``var`` in its column ``col``."""
+    return np.bincount(col.astype(np.intp), weights=weights, minlength=len(var.domain))
+
+
 class _Stats(NamedTuple):
     """Sufficient statistics of B row sets over the impurity scope."""
 
@@ -265,8 +269,8 @@ class _Scope:
         self.total = float(weights.sum())
         self.sym = [j for j in scope_indices if schema[j].symbolic]
         self.num = [j for j in scope_indices if schema[j].numeric]
-        node = self.grouped(np.zeros(len(weights), dtype=np.intp), 1)
-        self.parent_h = {j: float(entropy_rel(c[:, 0])) for j, c in node.counts.items()}
+        self.parent_h = {j: float(entropy_rel(_counts(schema[j], values[:, j], weights)))
+                         for j in self.sym}
         self.parent_mse = {j: _weighted_mse(values[:, j], weights) for j in self.num}
 
     def grouped(self, groups: np.ndarray, n: int) -> _Stats:
@@ -356,7 +360,7 @@ def impurity_improvement(data: Dataset, candidate: SplitCriterion,
 
 
 def _best_numeric_split(scope: _Scope, j: int, min_weight: float):
-    """``(improvement, criterion)`` of the best threshold for numeric variable
+    """``(improvement, threshold)`` of the best threshold for numeric variable
     ``j`` among midpoints of consecutive distinct sorted values with both
     sides at least ``min_weight``, or None."""
     col = scope.values[:, j]
@@ -381,13 +385,11 @@ def _best_numeric_split(scope: _Scope, j: int, min_weight: float):
     improvement = np.concatenate(scores)
     k = int(np.argmax(improvement))  # ties keep the lowest position index
     pos = boundary[k]
-    threshold = (vs[pos] + vs[pos + 1]) / 2.0
-    return float(improvement[k]), SplitCriterion(scope.schema[j], THRESHOLD,
-                                                 threshold=threshold)
+    return float(improvement[k]), (vs[pos] + vs[pos + 1]) / 2.0
 
 
 def _best_symbolic_split(scope: _Scope, j: int, min_weight: float):
-    """``(improvement, criterion)`` of the best one-vs-rest value for symbolic
+    """``(improvement, value index)`` of the best one-vs-rest value for symbolic
     variable ``j``, or None. A value that the node's path excludes has no
     rows, so ``min_weight`` (at least 1) rules it out."""
     k = len(scope.schema[j].domain)
@@ -402,8 +404,7 @@ def _best_symbolic_split(scope: _Scope, j: int, min_weight: float):
     improvement = scope.score(by_value.map(lambda a: a[..., values]),
                               rest.map(lambda a: a[..., values]), scope.total)
     i = int(np.argmax(improvement))  # ties keep the lowest value index
-    return float(improvement[i]), SplitCriterion(scope.schema[j], EQUALS,
-                                                 value_index=int(values[i]))
+    return float(improvement[i]), int(values[i])
 
 
 # -- tree construction -------------------------------------------------------
@@ -459,10 +460,8 @@ def learn(data: Dataset, config: LearnerConfig | None = None) -> TreeModel:
     def make_leaf(values: np.ndarray, weights: np.ndarray) -> int:
         for var, col in zip(schema, values.T):
             columns[var.name].append(
-                Multinomial.fit(var, np.bincount(col.astype(int), weights=weights,
-                                                 minlength=len(var.domain)))
-                if var.symbolic else cdf_learn(build_quantile_dataset(col, weights),
-                                               config.epsilon))
+                Multinomial.fit(var, _counts(var, col, weights)) if var.symbolic
+                else cdf_learn(build_quantile_dataset(col, weights), config.epsilon))
         count.append(float(weights.sum()))
         prior.append(count[-1] / total_weight)
         return len(prior) - 1
@@ -478,20 +477,19 @@ def learn(data: Dataset, config: LearnerConfig | None = None) -> TreeModel:
         if scope.all_pure():
             return make_leaf(values, weights)
 
-        best = None  # (improvement, criterion, column)
+        best = None  # (improvement, value, column)
         for j in candidate_idx:
-            var = schema[j]
-            found = (_best_numeric_split(scope, j, min_weight) if var.numeric
-                     else _best_symbolic_split(scope, j, min_weight))
+            search = _best_numeric_split if schema[j].numeric else _best_symbolic_split
+            found = search(scope, j, min_weight)
             if found is not None and (best is None or found[0] > best[0]):
                 best = (*found, j)
 
         if best is None or best[0] <= config.min_impurity_improvement:
             return make_leaf(values, weights)
 
-        _, crit, j = best
-        left_mask = crit.matches(values[:, j])
-        return j, crit.value, (rows[left_mask], depth + 1), (rows[~left_mask], depth + 1)
+        _, v, j = best
+        left = goes_left(schema[j].numeric, values[:, j], v)
+        return j, v, (rows[left], depth + 1), (rows[~left], depth + 1)
 
     tree = grow((np.arange(len(data)), 0), split)
     return TreeModel(schema, tree, _table(schema, tree, prior, count, columns), config)

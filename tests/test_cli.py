@@ -82,6 +82,17 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--max-depth", "-1", "max_depth"), ("--epsilon", "nan", "epsilon"),
+        ("--min-impurity-improvement", "-1", "min_impurity_improvement")])
+    def test_flags_are_checked_before_the_data_is_read(self, flag, value, field, tmp_path,
+                                                       capsys):
+        code = main(["train", "--data", str(tmp_path / "nope.csv"),
+                     "--out", str(tmp_path / "m.json"), flag, value])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err and "nope.csv" not in err
+
     def test_repeated_target_exits_1(self, iris_csv, tmp_path, capsys):
         code = main(["train", "--data", str(iris_csv), "--out", str(tmp_path / "m.json"),
                      "--targets", "species,species"])

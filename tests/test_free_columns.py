@@ -224,10 +224,40 @@ def test_signed_zeros_take_the_sign_of_the_first_kept_leaf():
         weight[keep] = 1.0 / len(keep)
         got = free_merge(column, weight)
         want = _merge_numeric(weight[keep], *column.conditioned(np.array(keep), None))
-        # the merge with evidence keeps the sign that np.unique keeps
-        assert np.array_equal(got.x, want.x) and got.F.tobytes() == want.F.tobytes()
-        zero = got.x[got.x == 0.0]
-        assert zero.size and np.signbit(zero).tolist() == [negative] * zero.size, keep
+        assert got.x.tobytes() == want.x.tobytes() and got.F.tobytes() == want.F.tobytes()
+        # evidence on x keeps each leaf's hinge at zero, so the merge with
+        # evidence takes the same sign
+        for given in (Interval(-0.5, 2.5), Interval(-1.0, 3.0), Interval(-2.0, 0.5)):
+            merged = _merge_numeric(weight[keep], *column.conditioned(np.array(keep), given))
+            for marginal in (got, merged):
+                zero = marginal.x[marginal.x == 0.0]
+                assert zero.size and np.signbit(zero).tolist() == [negative] * zero.size, keep
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_signed_zeros_on_wide_grids(seed):
+    # 300 leaves of hinges from -3..3 with zeros of either sign: enough
+    # hinges that np.unique's quicksort may move a zero of the other sign
+    # first; with or without evidence on x the grid keeps the first
+    rng = np.random.default_rng(seed)
+    x = np.concatenate([np.sort(rng.choice(np.arange(-3.0, 4.0), 3, replace=False))
+                        for _ in range(300)])
+    x[x == 0.0] *= rng.choice([-1.0, 1.0], np.count_nonzero(x == 0.0))
+    F = np.tile([0.0, 0.5, 1.0], 300)
+    infinite = np.full(300, math.inf)
+    first = np.arange(0, 900, 3)
+    column = NumericColumn("x", x, F, first, first + 2, (-infinite, infinite))
+    for keep in random_subsets(rng, 300):
+        weight = np.zeros(300)
+        weight[keep] = rng.uniform(0.5, 1.0, len(keep))
+        weight /= weight.sum()
+        for given in (None, Interval(-10.0, 10.0), Interval(-0.5, 2.5)):
+            owner, hinges, F = column.conditioned(keep, given)
+            merged = _merge_numeric(weight[keep], owner, hinges, F)
+            first_zero = hinges[hinges == 0.0][:1]
+            assert np.signbit(merged.x[merged.x == 0.0]).tolist() == np.signbit(first_zero).tolist()
+        assert_same_bits(free_merge(column, weight), _merge_numeric(
+            weight[keep], *column.conditioned(keep, None)))
 
 
 def test_the_order_is_derived_once_and_read_only():

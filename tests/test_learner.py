@@ -1,4 +1,6 @@
 import json
+import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,8 +9,7 @@ from probtree import (DataError, Dataset, Dirac, LearnerConfig, Multinomial, Pie
                       SplitCriterion, TreeModel, Variable, dumps, impurity_improvement, learn)
 from probtree import learner
 from probtree.multinomial import entropy_rel
-from probtree.learner import (EQUALS, THRESHOLD, _best_numeric_split,
-                              _best_symbolic_split, _Scope)
+from probtree.learner import _best_numeric_split, _best_symbolic_split, _Scope
 
 from conftest import accepts_row, random_discrete_dataset, reference_paths
 from reference_train import ReferenceScope, reference_best_numeric_split, reference_entropy_rel
@@ -25,13 +26,13 @@ def two_symbol_dataset():
 class TestImpurityImprovement:
     def test_perfect_symbolic_split(self):
         ds = two_symbol_dataset()
-        cand = SplitCriterion(ds.schema[0], EQUALS, value_index=0)
+        cand = SplitCriterion(ds.schema[0], 0)
         # scoring only v1: relative entropy drops from 1 to 0
         assert impurity_improvement(ds, cand, scope=["v1"]) == pytest.approx(1.0)
 
     def test_both_variables_scored(self):
         ds = two_symbol_dataset()
-        cand = SplitCriterion(ds.schema[0], EQUALS, value_index=0)
+        cand = SplitCriterion(ds.schema[0], 0)
         # each variable improves by 1, averaged with weight 1/|sym|^2 = 1/4
         assert impurity_improvement(ds, cand) == pytest.approx(0.5)
 
@@ -39,31 +40,32 @@ class TestImpurityImprovement:
         schema = (Variable("c", "symbolic", ("a", "b")), Variable("x", "numeric"))
         values = np.array([[0, 0], [0, 0], [1, 10], [1, 10]], dtype=float)
         ds = Dataset(schema, values)
-        cand = SplitCriterion(schema[0], EQUALS, value_index=0)
+        cand = SplitCriterion(schema[0], 0)
         assert impurity_improvement(ds, cand, scope=["x"]) == pytest.approx(1.0)
 
     def test_useless_split_scores_zero(self):
         schema = (Variable("c", "symbolic", ("a", "b")), Variable("x", "numeric"))
         values = np.array([[0, 1], [1, 1], [0, 5], [1, 5]], dtype=float)
         ds = Dataset(schema, values)
-        cand = SplitCriterion(schema[0], EQUALS, value_index=0)
+        cand = SplitCriterion(schema[0], 0)
         assert impurity_improvement(ds, cand, scope=["x"]) == pytest.approx(0.0)
 
     def test_one_sided_split_rejected(self):
-        ds = two_symbol_dataset()
-        cand = SplitCriterion(ds.schema[0], THRESHOLD)  # matches() never true
-        object.__setattr__(cand, "threshold", -1.0)
-        with pytest.raises(DataError):
-            impurity_improvement(ds, cand)
+        schema = (Variable("x", "numeric"), Variable("c", "symbolic", ("a", "b", "c")))
+        ds = Dataset(schema, np.array([[0, 0], [1, 1], [2, 0]], dtype=float))
+        for cand in (SplitCriterion(schema[0], -1.0), SplitCriterion(schema[0], 2.0),
+                     SplitCriterion(schema[1], 2)):  # no row holds "c"
+            with pytest.raises(DataError, match="one side empty"):
+                impurity_improvement(ds, cand)
 
     def test_unknown_names_rejected(self):
         ds = two_symbol_dataset()
         with pytest.raises(DataError, match="'v2'"):
-            impurity_improvement(ds, SplitCriterion(ds.schema[0], EQUALS, value_index=0),
+            impurity_improvement(ds, SplitCriterion(ds.schema[0], 0),
                                  scope=["v1", "v2"])
         stranger = Variable("v2", "symbolic", ("a", "b"))
         with pytest.raises(DataError, match="'v2'"):
-            impurity_improvement(ds, SplitCriterion(stranger, EQUALS, value_index=0))
+            impurity_improvement(ds, SplitCriterion(stranger, 0))
 
 
 def random_mixed_dataset(rng, weighted):
@@ -127,9 +129,9 @@ class TestScorerReference:
             j = int(rng.integers(len(names)))
             var, col = ds.schema[j], ds.values[:, j]
             if var.numeric:
-                cand = SplitCriterion(var, THRESHOLD, threshold=float(rng.choice(col)))
+                cand = SplitCriterion(var, float(rng.choice(col)))
             else:
-                cand = SplitCriterion(var, EQUALS, value_index=int(rng.choice(col)))
+                cand = SplitCriterion(var, int(rng.choice(col)))
             left = cand.matches(col)
             if left.all() or not left.any():
                 continue
@@ -153,10 +155,65 @@ class TestScorerReference:
                      _best_symbolic_split(scope, j, 2.0))
             if found is None:
                 continue
-            imp, crit = found
-            left = crit.matches(ds.values[:, j])
+            imp, value = found
+            left = SplitCriterion(var, value).matches(ds.values[:, j])
             assert imp == pytest.approx(reference_improvement(ds, left, everything),
                                         rel=0, abs=1e-12)
+
+
+class TestSplitCriterion:
+    """A split is a variable and a value, a threshold or a domain index,
+    and the library builds no split that a tree could not hold."""
+
+    def test_a_split_is_a_variable_and_a_value(self):
+        assert [f.name for f in fields(SplitCriterion)] == ["variable", "value"]
+        for name in ("THRESHOLD", "EQUALS"):
+            assert not hasattr(learner, name)
+
+    @pytest.mark.parametrize("value", [0.5, -1, 3, 3.0, -0.5, math.nan, math.inf, "1", None,
+                                       True, 10**400])
+    def test_a_symbolic_value_must_index_the_domain(self, iris, value):
+        species = iris.schema[iris.column_index("species")]
+        with pytest.raises(DataError, match="index of its domain"):
+            SplitCriterion(species, value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "1", None, False])
+    def test_a_numeric_value_must_be_a_finite_threshold(self, iris, value):
+        with pytest.raises(DataError, match="finite threshold"):
+            SplitCriterion(iris.schema[0], value)
+
+    @pytest.mark.parametrize("value", [1, 1.0, np.float64(1.0), np.int64(1)])
+    def test_a_whole_float_is_an_index(self, iris, value):
+        species = iris.schema[iris.column_index("species")]
+        crit = SplitCriterion(species, value)
+        assert crit.label() == "species = versicolor"
+        col = iris.values[:, iris.column_index("species")]
+        assert np.array_equal(crit.matches(col), col == 1)
+        assert 0 < impurity_improvement(iris, crit) < 1
+
+    def test_a_numeric_split_labels_its_threshold(self, iris):
+        crit = SplitCriterion(iris.schema[0], 1)
+        assert crit.label() == f"{iris.schema[0].name} <= 1"
+        assert crit.matches(0.5) and not crit.matches(1.5)
+
+    def test_one_child_path_rule(self, iris, monkeypatch):
+        # learn, route and matches all go through goes_left, and walking a
+        # row down the model's criteria reaches the leaf that route finds
+        calls = []
+        rule = learner.goes_left
+        monkeypatch.setattr(learner, "goes_left", lambda *a: calls.append(1) or rule(*a))
+        model = learn(iris, LearnerConfig(min_samples_leaf=0.05))
+        splits = np.flatnonzero(model.tree.feature >= 0)
+        assert len(calls) == len(splits) > 5
+        leaf = model.route(iris.values)
+        assert len(calls) > len(splits)
+        t = model.tree
+        for row, k in zip(iris.values, leaf):
+            i = 0
+            while t.feature[i] >= 0:
+                i = t.left[i] if model.criterion(i).matches(row[t.feature[i]]) else t.right[i]
+            assert t.leaf[i] == k
+        assert len(calls) > len(splits) + len(iris)
 
 
 class TestConfig:
@@ -261,7 +318,7 @@ class TestLearn:
         schema = (Variable("x", "numeric"), Variable("c", "symbolic", ("a", "b")))
         values = np.array([[1, 0], [2, 0], [8, 1], [9, 1]], dtype=float)
         model = learn(Dataset(schema, values), LearnerConfig(min_samples_leaf=1))
-        assert model.criterion(0).threshold == pytest.approx(5.0)
+        assert model.criterion(0).value == pytest.approx(5.0)
 
     def test_min_impurity_improvement_blocks_split(self, iris):
         model = learn(iris, LearnerConfig(min_samples_leaf=0.1,
@@ -287,7 +344,7 @@ class TestDiscriminative:
         schema = (Variable("x", "numeric"), Variable("label", "symbolic", ("n", "p")))
         ds = Dataset(schema, np.column_stack([x, lab]))
         model = learn(ds, LearnerConfig(min_samples_leaf=1, targets=("label",)))
-        assert model.criterion(0).threshold == pytest.approx(2.5)
+        assert model.criterion(0).value == pytest.approx(2.5)
         # both children are class-pure, so no further splits happen
         assert len(model.leaves) == 2
         for leaf in model.leaves:
@@ -367,7 +424,7 @@ class TestPaths:
         ds = Dataset(schema, values.reshape(-1, 1))
         model = learn(ds, LearnerConfig(min_samples_leaf=0.3))
         crit, t = model.criterion(0), model.tree
-        assert crit.kind == THRESHOLD
+        assert crit.variable.numeric
         left, right = t.left[0], t.right[0]
         while t.feature[left] >= 0:
             left = t.left[left]
@@ -375,8 +432,8 @@ class TestPaths:
             right = t.right[right]
         paths = reference_paths(model)
         (llo, lhi), (rlo, rhi) = paths[t.leaf[left]]["x"], paths[t.leaf[right]]["x"]
-        assert llo < crit.threshold == lhi
-        assert crit.threshold <= rlo < rhi
+        assert llo < crit.value == lhi
+        assert crit.value <= rlo < rhi
 
     def test_symbolic_paths_partition_domain(self, iris_model):
         species_sets = [path.get("species") for path in reference_paths(iris_model)]
@@ -423,7 +480,7 @@ class TestSearchKeepsTheReferenceBits:
                 reference_best_numeric_split(ref, j, min_weight)
             assert (got is None) == (want is None), var.name
             if got is not None:
-                assert (got[0], got[1].threshold) == want, var.name
+                assert got == want, var.name
                 checked += 1
         return checked
 
@@ -475,10 +532,10 @@ class TestSearchKeepsTheReferenceBits:
         label[:p] = label[-p:] = 0
         values = np.column_stack([np.arange(n, dtype=float), label])
         weights = np.ones(n)
-        imp, crit = _best_numeric_split(_Scope(schema, [1], values, weights), 0, 1.0)
-        assert crit.threshold == p - 0.5
-        assert (imp, crit.threshold) == reference_best_numeric_split(
+        imp, t = _best_numeric_split(_Scope(schema, [1], values, weights), 0, 1.0)
+        assert t == p - 0.5
+        assert (imp, t) == reference_best_numeric_split(
             ReferenceScope(schema, [1], values, weights), 0, 1.0)
-        mirror = SplitCriterion(schema[0], THRESHOLD, threshold=n - p - 0.5)
+        mirror, crit = SplitCriterion(schema[0], n - p - 0.5), SplitCriterion(schema[0], t)
         data = Dataset(schema, values)
         assert impurity_improvement(data, mirror, ["c"]) == impurity_improvement(data, crit, ["c"])
