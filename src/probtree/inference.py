@@ -15,7 +15,7 @@ from collections.abc import Mapping
 import numpy as np
 
 from .data import Assignment, AssignmentError, Dataset, Interval, Variable, as_float
-from .leaftable import first_at_least, steepest
+from .leaftable import Guide, steepest
 from .learner import TreeModel
 from .multinomial import Multinomial
 from .plcdf import PiecewiseLinearCDF, confidence_level
@@ -264,23 +264,48 @@ def log_likelihood(model: TreeModel, data: Dataset):
     return average, float(zero.sum() / len(data))
 
 
-def _quantile(owner, x, F, leaf, u) -> np.ndarray:
-    """Quantile u < 1 of each given leaf's packed CDF, as ``ppf`` gives it:
-    a plateau maps to its left end and u <= F[0] to x[0]. No rounding takes
-    a quantile past the end of its piece."""
-    first = np.flatnonzero(np.diff(owner, prepend=-1))[leaf]
-    g = first_at_least(F, first, np.flatnonzero(np.diff(owner, append=len(owner)))[leaf], u)
-    i = np.flatnonzero((g > first) & (F[g] > u))
-    out, a, b = x[g], g[i] - 1, g[i]
-    out[i] = np.minimum(x[a] + (u[i] - F[a]) / (F[b] - F[a]) * (x[b] - x[a]), x[b])
-    return out
+def _quantiles(owner, x, F, rows: int):
+    """Quantile u < 1 of a row's leaf's packed CDF, as ``ppf`` gives it: a
+    plateau maps to its left end and u <= F[0] to x[0]. No rounding takes a
+    quantile past the end of its piece. Returns a function of the leaves and
+    uniforms of a block of rows, guided for ``rows`` rows."""
+    first = np.flatnonzero(np.diff(owner, prepend=-1))
+    guide = Guide(F, first, np.append(first[1:] - 1, len(F) - 1), rows)
+    # the piece that ends at each hinge: its start's x and F, its rise in F
+    # and its run in x; a first hinge ends the empty piece from itself, which
+    # interpolates to its own x
+    start = np.arange(-1, len(x) - 1)
+    start[first] = first
+    rise, run = F - F[start], x - x[start]
+    rise[first] = 1.0
+    piece = np.stack([F, x, x[start], F[start], rise, run])
+
+    def draw(leaf, u):
+        end_F, end_x, x0, F0, dF, dx = piece.take(guide.find(leaf, u), axis=1)
+        out = np.minimum(x0 + (u - F0) / dF * dx, end_x)
+        np.copyto(out, end_x, where=end_F == u)  # u at a hinge: its own x
+        return out
+    return draw
+
+
+def _labels(p, rows: int):
+    """The first label of a row's leaf whose cumulative mass is above u times
+    the leaf's total, as a function of the leaves and uniforms of a block of
+    rows, guided for ``rows`` rows."""
+    cum, k = np.cumsum(p, axis=1).ravel(), p.shape[1]
+    first = np.arange(0, len(cum), k)
+    guide = Guide(cum, first, first + k - 1, rows, scale=cum[first + k - 1], strict=True)
+    return lambda leaf, u: guide.find(leaf, u) - leaf * k
 
 
 def sample(model: TreeModel, n: int, rng, e: Assignment | None = None) -> Dataset:
     """Draw ``n`` complete worlds: leaf from the posterior, then each
     variable independently from its (conditioned) leaf distribution. The
-    leaves take the first draws of ``rng``, then each variable in schema
-    order the next ``n`` uniforms, inverted against its row's leaf."""
+    leaves take the first ``n`` uniforms of ``rng``, each inverted against
+    the cumulative posterior as ``rng.choice(len(w), size=n, p=w)`` inverts
+    them, then each variable in schema order the next ``n`` uniforms,
+    inverted against its row's leaf. Uniforms are drawn in blocks of rows,
+    which give the same stream as one draw of all."""
     if (isinstance(n, bool) or not isinstance(n, numbers.Integral)
             or not 1 <= n <= MAX_SAMPLE_COUNT):
         raise AssignmentError(f"sample count must be an integer in [1, {MAX_SAMPLE_COUNT}], "
@@ -290,19 +315,18 @@ def sample(model: TreeModel, n: int, rng, e: Assignment | None = None) -> Datase
     w, e = posterior[keep], e or {}
     columns = [model.table.column(var.name).conditioned(keep, e.get(var.name))
                for var in model.schema]
-    leaf = rng.choice(len(w), size=n, p=w)
-    values = np.empty((n, len(model.schema)))
     block = 1 << 13  # rows drawn at once, which bounds the temporaries
+    blocks = [slice(a, min(a + block, n)) for a in range(0, n, block)]
+    cdf = np.cumsum(w)
+    cdf /= cdf[-1]
+    # the first leaf whose cumulative posterior is above u
+    guide = Guide(cdf, np.zeros(1, dtype=np.intp), np.full(1, len(w) - 1), n, strict=True)
+    leaf = np.empty(n, dtype=np.intp)
+    for rows in blocks:
+        leaf[rows] = guide.find(0, rng.random(rows.stop - rows.start))
+    values = np.empty((n, len(model.schema)))
     for j, (var, leaves) in enumerate(zip(model.schema, columns)):
-        if var.symbolic:
-            cum, k = np.cumsum(leaves, axis=1).ravel(), leaves.shape[1]
-        for a in range(0, n, block):
-            rows = slice(a, min(a + block, n))
-            u = rng.random(rows.stop - a)
-            if var.numeric:
-                values[rows, j] = _quantile(*leaves, leaf[rows], u)
-            else:  # the first label whose cumulative mass is above u times the total
-                first = leaf[rows] * k
-                values[rows, j] = first_at_least(
-                    cum, first, first + k - 1, np.nextafter(u * cum[first + k - 1], np.inf)) - first
+        draw = _quantiles(*leaves, n) if var.numeric else _labels(leaves, n)
+        for rows in blocks:
+            values[rows, j] = draw(leaf[rows], rng.random(rows.stop - rows.start))
     return Dataset(model.schema, values)

@@ -50,6 +50,59 @@ def first_at_least(a, first, last, v) -> np.ndarray:
     return g
 
 
+#: the most entries of one guide table, 64 KiB of indices
+GUIDE_ENTRIES = 1 << 13
+
+
+class Guide:
+    """A guide table (Chen and Asau, 1974; Devroye, 1986, III.2.4) for
+    inverting rising ranges at uniforms: for range k of ``a``, rows
+    ``first[k]..last[k]``, and u in [0, 1), ``find`` gives the first row of
+    the range with a >= t, or with a > t if ``strict``, where the threshold
+    t is u, or u·scale[k] with a ``scale``: ``first_at_least`` with t, or
+    with the next float above t.
+
+    Entry [k, b] holds the answer at u = b/M for 0 < b < M, and [k, 0] and
+    [k, M] the range's first and last rows. M is a power of two, so u·M and
+    b/M are exact, and t does not fall as u rises: no answer at u lies before
+    entry [k, floor(u·M)] or after entry [k, floor(u·M) + 1]. A row takes the
+    first if a there passes the test, and otherwise searches only up to the
+    second. A guide pays when its entries are few next to the ``rows`` to be
+    looked up and its buckets outnumber the rows of ``a``: M is the largest
+    power of two that keeps the table within an eighth of ``rows`` and
+    ``GUIDE_ENTRIES``, or 1, which searches each range whole, when that
+    gives fewer buckets than rows of ``a``.
+    """
+
+    def __init__(self, a, first, last, rows: int, scale=None, strict: bool = False):
+        entries = min(int(rows) // 8, GUIDE_ENTRIES) // len(first) - 1
+        M = 1 << max(entries.bit_length() - 1, 0)
+        self.M = M = M if M * len(first) >= len(a) else 1
+        self.a, self.scale, self.strict = a, scale, strict
+        table = np.empty((len(first), M + 1), dtype=np.intp)
+        table[:, 0], table[:, -1] = first, last
+        if M > 1:
+            k = np.repeat(np.arange(len(first)), M - 1)
+            v = self._least(k, np.tile(np.arange(1, M) / M, len(first)))
+            table[:, 1:-1] = first_at_least(a, first[k], last[k], v).reshape(-1, M - 1)
+        self.table = table.ravel()
+
+    def _least(self, k, u):
+        """The least value of a that passes the test at u in range k."""
+        t = u if self.scale is None else u * self.scale[k]
+        return np.nextafter(t, np.inf) if self.strict else t
+
+    def find(self, k, u) -> np.ndarray:
+        """The answer for each range k (an array, or a scalar for all) and u."""
+        v = self._least(k, u)
+        i = k * (self.M + 1) + (u * self.M).astype(np.intp)
+        g = self.table[i]
+        miss = np.flatnonzero(self.a[g] < v)  # the answer lies above g
+        if miss.size:
+            g[miss] = first_at_least(self.a, g[miss] + 1, self.table[i[miss] + 1], v[miss])
+        return g
+
+
 def steepest(owner, x, F):
     """Each leaf's argmax of the density and its value, from packed hinges
     ``(owner, x, F)``: the midpoint of its steepest piece (leftmost on ties),

@@ -64,6 +64,15 @@ class TestTrain:
                      "--min-samples-leaf", "2.0"]) == 0
         assert load(model).config.min_samples_leaf == 2.0
 
+    def test_min_samples_leaf_one_point_zero_is_the_whole_weight(self, iris_csv, tmp_path):
+        """``1.0`` is the fraction 1 of the training weight, so no split
+        leaves both children that much: one leaf."""
+        model = tmp_path / "m.json"
+        assert main(["train", "--data", str(iris_csv), "--out", str(model),
+                     "--min-samples-leaf", "1.0"]) == 0
+        assert load(model).config.min_samples_leaf == 1.0
+        assert len(load(model).table.prior) == 1
+
     @pytest.mark.parametrize("value", ["0", "-1", "1.5"])
     def test_min_samples_leaf_that_the_config_rejects_exits_2(self, value, iris_csv,
                                                               tmp_path, capsys):
