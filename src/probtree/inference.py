@@ -315,18 +315,20 @@ def sample(model: TreeModel, n: int, rng, e: Assignment | None = None) -> Datase
     w, e = posterior[keep], e or {}
     columns = [model.table.column(var.name).conditioned(keep, e.get(var.name))
                for var in model.schema]
+    try:
+        leaf, values = np.empty(n, dtype=np.intp), np.empty((n, len(model.schema)))
+    except (MemoryError, ValueError):
+        raise AssignmentError(f"cannot hold {n} sampled rows in memory") from None
     block = 1 << 13  # rows drawn at once, which bounds the temporaries
-    blocks = [slice(a, min(a + block, n)) for a in range(0, n, block)]
+    blocks = range(0, n, block)  # a range, not a list: n may be huge
     cdf = np.cumsum(w)
     cdf /= cdf[-1]
     # the first leaf whose cumulative posterior is above u
     guide = Guide(cdf, np.zeros(1, dtype=np.intp), np.full(1, len(w) - 1), n, strict=True)
-    leaf = np.empty(n, dtype=np.intp)
-    for rows in blocks:
-        leaf[rows] = guide.find(0, rng.random(rows.stop - rows.start))
-    values = np.empty((n, len(model.schema)))
+    for a in blocks:
+        leaf[a:a + block] = guide.find(0, rng.random(min(block, n - a)))
     for j, (var, leaves) in enumerate(zip(model.schema, columns)):
         draw = _quantiles(*leaves, n) if var.numeric else _labels(leaves, n)
-        for rows in blocks:
-            values[rows, j] = draw(leaf[rows], rng.random(rows.stop - rows.start))
+        for a in blocks:
+            values[a:a + block, j] = draw(leaf[a:a + block], rng.random(min(block, n - a)))
     return Dataset(model.schema, values)

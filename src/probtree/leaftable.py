@@ -95,6 +95,9 @@ class Guide:
     def find(self, k, u) -> np.ndarray:
         """The answer for each range k (an array, or a scalar for all) and u."""
         v = self._least(k, u)
+        if self.table.size == 2:  # one range, M = 1: one binary search
+            lo, hi = self.table
+            return lo + self.a[lo:hi + 1].searchsorted(v)
         i = k * (self.M + 1) + (u * self.M).astype(np.intp)
         g = self.table[i]
         miss = np.flatnonzero(self.a[g] < v)  # the answer lies above g

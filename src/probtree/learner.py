@@ -241,26 +241,13 @@ def _counts(var: Variable, col: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.bincount(col.astype(np.intp), weights=weights, minlength=len(var.domain))
 
 
-class _Stats(NamedTuple):
-    """Sufficient statistics of B row sets over the impurity scope."""
-
-    w: np.ndarray   # (B,) total weight
-    counts: dict    # symbolic scope column -> (k, B) weighted class counts
-    sums: dict      # numeric scope column -> ((B,) sum w*x, (B,) sum w*x*x)
-
-    def map(self, f) -> "_Stats":
-        """Apply the same operation ``f`` on the row-set axis (the last) to every statistic."""
-        return _Stats(f(self.w), {j: f(c) for j, c in self.counts.items()},
-                      {j: (f(s1), f(s2)) for j, (s1, s2) in self.sums.items()})
-
-    def __sub__(self, other: "_Stats") -> "_Stats":
-        return _Stats(self.w - other.w, {j: c - other.counts[j] for j, c in self.counts.items()},
-                      {j: (s1 - other.sums[j][0], s2 - other.sums[j][1])
-                       for j, (s1, s2) in self.sums.items()})
-
-
 class _Scope:
-    """Per-node impurity scope: its rows, parent impurities and the scorer."""
+    """Per-node impurity scope: its rows, parent impurities and the scorer.
+
+    The statistics of B row sets are one ``(S, B)`` array: row 0 holds the
+    weight, a symbolic scope variable the weight of each of its labels (k
+    rows) and a numeric one Σw·x and Σw·x² (2 rows); ``rows[j]`` is the
+    slice of scope variable j."""
 
     def __init__(self, schema, scope_indices, values, weights):
         self.schema = schema
@@ -269,43 +256,47 @@ class _Scope:
         self.total = float(weights.sum())
         self.sym = [j for j in scope_indices if schema[j].symbolic]
         self.num = [j for j in scope_indices if schema[j].numeric]
+        self.rows, self.size = {}, 1
+        for j in scope_indices:
+            width = len(schema[j].domain) if schema[j].symbolic else 2
+            self.rows[j] = slice(self.size, self.size + width)
+            self.size += width
         self.parent_h = {j: float(entropy_rel(_counts(schema[j], values[:, j], weights)))
                          for j in self.sym}
         self.parent_mse = {j: _weighted_mse(values[:, j], weights) for j in self.num}
 
-    def grouped(self, groups: np.ndarray, n: int) -> _Stats:
+    def grouped(self, groups: np.ndarray, n: int) -> np.ndarray:
         """Statistics of the rows in each of ``n`` groups (row -> group id)."""
         w = self.weights
-        counts = {}
+        stats = np.empty((self.size, n))
+        stats[0] = np.bincount(groups, weights=w, minlength=n)
         for j in self.sym:
             k = len(self.schema[j].domain)
             cell = self.values[:, j].astype(np.intp) * n + groups
-            counts[j] = np.bincount(cell, weights=w, minlength=k * n).reshape(k, n)
-        sums = {}
+            stats[self.rows[j]] = np.bincount(cell, weights=w, minlength=k * n).reshape(k, n)
         for j in self.num:
             wx = w * self.values[:, j]
-            sums[j] = (np.bincount(groups, weights=wx, minlength=n),
-                       np.bincount(groups, weights=wx * self.values[:, j], minlength=n))
-        return _Stats(np.bincount(groups, weights=w, minlength=n), counts, sums)
+            stats[self.rows[j]] = (np.bincount(groups, weights=wx, minlength=n),
+                                   np.bincount(groups, weights=wx * self.values[:, j], minlength=n))
+        return stats
 
-    def ordered(self, order: np.ndarray) -> _Stats:
+    def ordered(self, order: np.ndarray) -> np.ndarray:
         """Statistics of each row on its own, the rows in the order ``order``."""
-        w = self.weights[order]
-        counts, sums = {}, {}
+        stats = np.zeros((self.size, len(order)))
+        w = np.take(self.weights, order, out=stats[0])
         for j in self.sym:
-            c = counts[j] = np.zeros((len(self.schema[j].domain), len(w)))
-            c[self.values[order, j].astype(np.intp), np.arange(len(w))] = w
+            stats[self.rows[j]][self.values[order, j].astype(np.intp), np.arange(len(w))] = w
         for j in self.num:
-            x = self.values[order, j]
-            wx = w * x
-            sums[j] = (wx, wx * x)
-        return _Stats(w, counts, sums)
+            x, (wx, wxx) = self.values[order, j], stats[self.rows[j]]
+            np.multiply(w, x, out=wx)
+            np.multiply(wx, x, out=wxx)
+        return stats
 
     def all_pure(self) -> bool:
         return (all(h <= _PURE for h in self.parent_h.values())
                 and all(m <= _PURE for m in self.parent_mse.values()))
 
-    def score(self, left: _Stats, right: _Stats, total) -> np.ndarray:
+    def score(self, left: np.ndarray, right: np.ndarray, total) -> np.ndarray:
         """Combined relative impurity improvement of B binary splits of rows
         of weight ``total``, given the statistics of each side.
 
@@ -315,7 +306,7 @@ class _Scope:
         is averaged with weight 1/|class|^2; an already-pure variable
         contributes 0.
         """
-        wl, wr = left.w, right.w
+        wl, wr = left[0], right[0]
         improvement = np.zeros(len(wl))
         if self.sym:
             s = np.zeros(len(wl))
@@ -323,8 +314,8 @@ class _Scope:
                 hp = self.parent_h[j]
                 if hp <= _PURE:
                     continue
-                hl, hr = entropy_rel(left.counts[j]), entropy_rel(right.counts[j])
-                s += hp - (wl * hl + wr * hr) / total
+                r = self.rows[j]
+                s += hp - (wl * entropy_rel(left[r]) + wr * entropy_rel(right[r])) / total
             improvement += s / len(self.sym) ** 2
         if self.num:
             s = np.zeros(len(wl))
@@ -332,7 +323,7 @@ class _Scope:
                 mp = self.parent_mse[j]
                 if mp <= _PURE:
                     continue
-                (s1l, s2l), (s1r, s2r) = left.sums[j], right.sums[j]
+                (s1l, s2l), (s1r, s2r) = left[self.rows[j]], right[self.rows[j]]
                 ml = np.maximum(s2l / wl - (s1l / wl) ** 2, 0.0)
                 mr = np.maximum(s2r / wr - (s1r / wr) ** 2, 0.0)
                 s += (mp - (wl * ml + wr * mr) / total) / mp
@@ -352,8 +343,7 @@ def impurity_improvement(data: Dataset, candidate: SplitCriterion,
         raise DataError("candidate split leaves one side empty")
     sc = _Scope(data.schema, scope_idx, data.values, data.weights)
     sides = sc.grouped((~left).astype(np.intp), 2)
-    return float(sc.score(sides.map(lambda a: a[..., :1]), sides.map(lambda a: a[..., 1:]),
-                          sc.total)[0])
+    return float(sc.score(sides[:, :1], sides[:, 1:], sc.total)[0])
 
 
 # -- candidate search --------------------------------------------------------
@@ -373,14 +363,15 @@ def _best_numeric_split(scope: _Scope, j: int, min_weight: float):
                         & (total - cw[boundary] >= min_weight)]
     if boundary.size == 0:
         return None
-    # entry i of ``prefix`` holds the statistics of the i + 1 smallest
+    # column i of ``prefix`` holds the statistics of the i + 1 smallest
     # values; blocks of boundaries are scored in turn, so that the
     # temporaries of the scorer stay small
-    prefix = scope.ordered(order).map(lambda a: np.cumsum(a, axis=-1, out=a))
-    last = prefix.map(lambda a: a[..., -1:])
+    prefix = scope.ordered(order)
+    np.cumsum(prefix, axis=1, out=prefix)
+    last = prefix[:, -1:]
     scores = []
     for start in range(0, boundary.size, _BLOCK):
-        left = prefix.map(lambda a: a[..., boundary[start:start + _BLOCK]])
+        left = prefix[:, boundary[start:start + _BLOCK]]
         scores.append(scope.score(left, last - left, total))
     improvement = np.concatenate(scores)
     k = int(np.argmax(improvement))  # ties keep the lowest position index
@@ -396,13 +387,17 @@ def _best_symbolic_split(scope: _Scope, j: int, min_weight: float):
     by_value = scope.grouped(scope.values[:, j].astype(np.intp), k)
     # each value's rest is the sum of the other values' groups, not the node
     # minus the value, so two values that split the rows alike tie exactly
-    # (the lower index wins); the product keeps its [value, label] layout, and bits
-    rest = by_value.map(lambda a: ((1.0 - np.eye(k)) @ a.T.copy()).T)
-    values = np.flatnonzero((by_value.w >= min_weight) & (rest.w >= min_weight))
+    # (the lower index wins); a row's rest is a matrix-vector product and a
+    # label block's a matrix product: BLAS sums in another order for each,
+    # and one product over all rows would move the last bits
+    others = 1.0 - np.eye(k)
+    rest = np.matmul(others, by_value[:, :, None])[:, :, 0]
+    for block in (scope.rows[i] for i in scope.sym):
+        rest[block] = (others @ by_value[block].T.copy()).T
+    values = np.flatnonzero((by_value[0] >= min_weight) & (rest[0] >= min_weight))
     if values.size == 0:
         return None
-    improvement = scope.score(by_value.map(lambda a: a[..., values]),
-                              rest.map(lambda a: a[..., values]), scope.total)
+    improvement = scope.score(by_value[:, values], rest[:, values], scope.total)
     i = int(np.argmax(improvement))  # ties keep the lowest value index
     return float(improvement[i]), int(values[i])
 

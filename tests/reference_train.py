@@ -1,8 +1,8 @@
 """Reference versions of the training path, kept to check that the program's
 faster ones give the same bits: the row-by-row CSV reader, the per-cell CSV
 writer, the numeric split scorer that scatters one group per row and scores
-every boundary at once, and the CDF fitter that makes three chord scans per
-hinge.
+every boundary at once, the symbolic one that sums each statistic's rest on
+its own, and the CDF fitter that makes three chord scans per hinge.
 """
 
 from __future__ import annotations
@@ -208,6 +208,23 @@ def reference_best_numeric_split(scope: ReferenceScope, j: int, min_weight: floa
     k = int(np.argmax(improvement))
     pos = boundary[k]
     return float(improvement[k]), (vs[pos] + vs[pos + 1]) / 2.0
+
+
+def reference_best_symbolic_split(scope: ReferenceScope, j: int, min_weight: float):
+    """``(improvement, value index)`` of the best one-vs-rest value of
+    column ``j``, or None: each statistic's rest is its own product with
+    the others-matrix, as the search once computed it."""
+    k = len(scope.schema[j].domain)
+    by_value = scope.grouped(scope.values[:, j].astype(np.intp), k)
+    others = 1.0 - np.eye(k)
+    rest = by_value.map(lambda a: others @ a)
+    values = np.flatnonzero((by_value.w >= min_weight) & (rest.w >= min_weight))
+    if values.size == 0:
+        return None
+    improvement = scope.score(by_value.map(lambda a: a[values]), rest.map(lambda a: a[values]),
+                              float(scope.weights.sum()))
+    i = int(np.argmax(improvement))
+    return float(improvement[i]), int(values[i])
 
 
 # -- CDF fitting ------------------------------------------------------------------

@@ -2,8 +2,10 @@ import contextlib
 import csv
 import io
 import json
+import os
 import pathlib
 import shutil
+import subprocess
 import sys
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from probtree import (Dataset, LearnerConfig, Variable, ingest_csv, learn, load, log_likelihood,
                       save)
+import probtree
 from probtree.cli import main
 from probtree.experiments import run_likelihood_sweep
 
@@ -317,6 +320,20 @@ class TestSample:
 
     def test_nonpositive_count(self, trained):
         assert main(["sample", "--model", str(trained), "-n", "0"]) == 2
+
+    @pytest.mark.parametrize("n", ["9223372036854775807", "1099511627776"])
+    def test_a_count_too_large_to_hold_fails_fast(self, trained, n):
+        # the child caps its own address space at 2 GiB before it does
+        # anything else, so a sample that tried to fill memory fails there
+        limit = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+                 "from probtree.cli import main; sys.exit(main(sys.argv[1:]))")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": str(pathlib.Path(probtree.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-c", limit, "sample", "--model", str(trained),
+                              "-n", n], env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 1, run.stderr
+        assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1, run.stderr
+        assert run.stdout == ""
 
     def test_stdout_quotes_like_the_out_file(self, tmp_path, capsys):
         # labels holding a comma and a quote need CSV quoting on stdout too

@@ -12,7 +12,8 @@ from probtree.multinomial import entropy_rel
 from probtree.learner import _best_numeric_split, _best_symbolic_split, _Scope
 
 from conftest import accepts_row, random_discrete_dataset, reference_paths
-from reference_train import ReferenceScope, reference_best_numeric_split, reference_entropy_rel
+from reference_train import (ReferenceScope, reference_best_numeric_split,
+                             reference_best_symbolic_split, reference_entropy_rel)
 
 
 def two_symbol_dataset():
@@ -448,7 +449,9 @@ class TestSearchKeepsTheReferenceBits:
     """The numeric search gathers prefix statistics in sorted order, keeps
     class counts label-major and scores boundaries in blocks; the reference
     scatters one group per row and scores every boundary at once. Both
-    must give the same improvement and threshold, bit for bit."""
+    must give the same improvement and threshold, bit for bit; so must the
+    symbolic search and its reference, which keeps one statistic apart
+    from the next."""
 
     @staticmethod
     def node(rng, n, labels=(1, 3, 5, 9), weighted=True):
@@ -468,16 +471,17 @@ class TestSearchKeepsTheReferenceBits:
         weights = rng.uniform(0.1, 3.0, n) if weighted else np.ones(n)
         return tuple(schema), np.column_stack(cols), weights
 
-    def check(self, schema, values, weights, scope, min_weight):
+    def check(self, schema, values, weights, scope, min_weight, symbolic=False):
         new = _Scope(schema, scope, values, weights)
         ref = ReferenceScope(schema, scope, values, weights)
         assert new.parent_h == ref.parent_h
+        search, reference = ((_best_symbolic_split, reference_best_symbolic_split) if symbolic
+                             else (_best_numeric_split, reference_best_numeric_split))
         checked = 0
         for j, var in enumerate(schema):
-            if not var.numeric:
+            if var.symbolic != symbolic:
                 continue
-            got, want = _best_numeric_split(new, j, min_weight), \
-                reference_best_numeric_split(ref, j, min_weight)
+            got, want = search(new, j, min_weight), reference(ref, j, min_weight)
             assert (got is None) == (want is None), var.name
             if got is not None:
                 assert got == want, var.name
@@ -502,6 +506,20 @@ class TestSearchKeepsTheReferenceBits:
             schema, values, weights = self.node(rng, 2000, labels=(k,))
             values[:, 0] += rng.uniform(-0.05, 0.05, 2000)
             assert self.check(schema, values, weights, [3], 1.0) > 0
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    @pytest.mark.parametrize("k", [1, 2, 5, 7, 8, 9, 16, 31])
+    def test_symbolic_search(self, k, weighted):
+        # the search takes each value's rest in one batched product over the
+        # statistics' rows and one product per label block, the reference in
+        # one product per statistic; a BLAS kernel that sums in another order
+        # (one product over all rows does, from 5 labels) moves the last bits
+        rng = np.random.default_rng(100 + k)
+        schema, values, weights = self.node(rng, 700, labels=(k, 3), weighted=weighted)
+        targets = [j for j, v in enumerate(schema) if v.symbolic] + [len(schema) - 1]
+        everything = list(range(len(schema)))
+        assert self.check(schema, values, weights, everything, 1.0, symbolic=True) > 0
+        assert self.check(schema, values, weights, targets, 70.0, symbolic=True) > 0
 
     @pytest.mark.parametrize("k", [1, 2, 5, 7, 8, 9, 16, 31, 200])
     def test_entropy_of_label_major_counts(self, k):
