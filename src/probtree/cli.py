@@ -14,10 +14,10 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from . import experiments
-from .data import (AssignmentError, DataError, Dataset, emit_csv, ingest_csv,
-                   load_schema_override, parse_assignment)
-from .inference import (MAX_SAMPLE_COUNT, ZeroEvidenceError, event_probability,
-                        expectation_query, log_likelihood, mpe, sample)
+from .data import (AssignmentError, DataError, Dataset, as_int, emit_csv, ingest_csv,
+                   load_schema_override, parse_assignment, read_number)
+from .inference import (ZeroEvidenceError, event_probability, expectation_query,
+                        log_likelihood, mpe, sample, sample_count)
 from .learner import LearnerConfig, learn
 from .model_io import ModelFormatError, export_dot, load, save
 from .plcdf import DistributionError, confidence_level
@@ -28,53 +28,46 @@ EXIT_USAGE = 2
 EXIT_ZERO_EVIDENCE = 3
 
 
-def _parse_min_samples(text: str):
-    """An argparse type: a number, an int unless written with a point or an
-    exponent, that ``LearnerConfig`` takes as ``min_samples_leaf``."""
-    try:
-        v = float(text) if "." in text or "e" in text.lower() else int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid min-samples-leaf {text!r}") from None
-    try:
-        LearnerConfig(min_samples_leaf=v)
-    except DataError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return v
-
-
-def _int_at_least(low: int, what: str):
-    """An argparse type: an integer of at least ``low``."""
-    def parse(text: str) -> int:
+def _flag(read, rule):
+    """An argparse type: ``rule(read(text))``. Either one raises ValueError
+    (DataError and DistributionError are ones) for a text or a value it
+    rejects, which argparse reports as a flag error."""
+    def parse(text: str):
         try:
-            v = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid {what} {text!r}") from None
-        if v < low:
-            raise argparse.ArgumentTypeError(f"{what} must be >= {low}")
-        return v
+            return rule(read(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
     return parse
 
 
-_parse_seed = _int_at_least(0, "seed")
-
-
-def _parse_confidence(text: str) -> float:
+def _number(text: str) -> int | float:
+    """The number that ``text`` spells in the grammar of CSV cells and
+    constraint bounds, so ``nan`` and ``1_0`` are none: an int if it is
+    written as one, else a float."""
+    if read_number(text) is None:
+        raise ValueError(f"not a finite number: {text!r}")
     try:
-        return confidence_level(float(text))
-    except ValueError as exc:  # DistributionError is one
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _parse_targets(text: str):
-    return tuple(t.strip() for t in text.split(",")) if text else None
-
-
-def _parse_fractions(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(f) for f in text.split(","))
+        return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid fractions {text!r}: need "
-                                         "comma-separated numbers") from None
+        return float(text)
+
+
+def _config(name: str):
+    """The rule of ``LearnerConfig`` for its field ``name``."""
+    return lambda value: getattr(LearnerConfig(**{name: value}), name)
+
+
+def _at_least(low: int):
+    """The rule of an integer of at least ``low``."""
+    def rule(value):
+        if as_int(value) is None or value < low:
+            raise ValueError(f"must be an integer >= {low}, got {value!r}")
+        return value
+    return rule
+
+
+def _targets(text: str):
+    return tuple(t.strip() for t in text.split(",")) if text else None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -86,23 +79,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="learn a model from a CSV file")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--min-samples-leaf", type=_parse_min_samples)
-    p.add_argument("--min-impurity-improvement", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--targets", type=_parse_targets, help="comma-separated target variables "
-                                                          "(discriminative mode)")
+    for name in ("min_samples_leaf", "min_impurity_improvement", "epsilon", "max_depth"):
+        p.add_argument("--" + name.replace("_", "-"), type=_flag(_number, _config(name)))
+    p.add_argument("--targets", type=_flag(_targets, _config("targets")),
+                   help="comma-separated target variables (discriminative mode)")
     p.add_argument("--schema", help="sidecar JSON with column kind overrides")
-    p.add_argument("--max-depth", type=int)
     p.set_defaults(run=_cmd_train, **asdict(LearnerConfig()))
 
     p = sub.add_parser("query", help="posterior probability, expectation or MPE")
     p.add_argument("--model", required=True)
-    mode = p.add_mutually_exclusive_group()
+    mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--q", help="query constraints")
     mode.add_argument("--expect", help="numeric variable to report E(var | e)")
     mode.add_argument("--mpe", action="store_true")
     p.add_argument("--e", help="evidence constraints")
-    p.add_argument("--confidence", type=_parse_confidence, default=0.95)
+    p.add_argument("--confidence", type=_flag(_number, confidence_level), default=0.95)
     p.add_argument("--json", action="store_true")
     p.set_defaults(run=_cmd_query)
 
@@ -114,9 +105,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="draw samples from the model")
     p.add_argument("--model", required=True)
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_flag(_number, sample_count), required=True)
     p.add_argument("--e", help="evidence constraints")
-    p.add_argument("--seed", type=_parse_seed, default=0)
+    p.add_argument("--seed", type=_flag(_number, _at_least(0)), default=0)
     p.add_argument("--out", help="output CSV (default: stdout)")
     p.set_defaults(run=_cmd_sample)
 
@@ -128,9 +119,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="run a built-in experiment")
     p.add_argument("--experiment", required=True, choices=["toy", "regression", "uci"])
     p.add_argument("--data", help="CSV dataset (uci experiment)")
-    p.add_argument("--seed", type=_parse_seed, default=0)
-    p.add_argument("--n", type=_int_at_least(2, "sample size"), default=1000)
-    p.add_argument("--fractions", type=_parse_fractions, default="0.2,0.1,0.05,0.02,0.01")
+    p.add_argument("--seed", type=_flag(_number, _at_least(0)), default=0)
+    p.add_argument("--n", type=_flag(_number, _at_least(2)), default=1000)
+    p.add_argument("--fractions", default="0.2,0.1,0.05,0.02,0.01", type=_flag(
+        lambda text: [float(_number(f)) for f in text.split(",")],
+        lambda fs: tuple(map(_config("min_samples_leaf"), fs))))
     p.add_argument("--out", help="report JSON (default: stdout)")
     p.set_defaults(run=_cmd_eval)
     return parser
@@ -150,12 +143,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    if args.q is None and not args.expect and not args.mpe:
-        print("error: query needs one of --q, --expect or --mpe", file=sys.stderr)
-        return EXIT_USAGE
     model = load(args.model)
     e = parse_assignment(args.e, model.schema) if args.e else {}
-    if args.expect:
+    if args.expect is not None:
         mean, lo, hi = expectation_query(model, args.expect, e, args.confidence)
         if args.json:
             print(json.dumps({"mean": mean, "lower": lo, "upper": hi,
@@ -208,9 +198,6 @@ def _in_domain(data: Dataset, schema) -> Dataset:
 
 
 def _cmd_sample(args) -> int:
-    if not 1 <= args.n <= MAX_SAMPLE_COUNT:
-        print(f"error: sample count must lie in [1, {MAX_SAMPLE_COUNT}]", file=sys.stderr)
-        return EXIT_USAGE
     model = load(args.model)
     e = parse_assignment(args.e, model.schema) if args.e else None
     rng = np.random.default_rng(args.seed)
@@ -247,7 +234,10 @@ def _cmd_eval(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits after --help and after a flag error
+        return exc.code
     try:
         return args.run(args)
     except ZeroEvidenceError as exc:

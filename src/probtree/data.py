@@ -150,7 +150,7 @@ def make_assignment(schema, constraints: dict) -> Assignment:
 def _bound(name: str, value) -> float:
     """A numeric constraint value: a finite real number but a bool, or a
     string of one."""
-    v = _read_number(value) if isinstance(value, str) else as_float(value)
+    v = read_number(value) if isinstance(value, str) else as_float(value)
     if v is None or not math.isfinite(v):
         raise AssignmentError(f"expected a finite number for {name!r}, got {value!r}")
     return v
@@ -376,7 +376,7 @@ class _Column:
                 self.numbers.append(numbers)
                 return
             if self.kind == NUMERIC:
-                self.bad = next(c for c in cells if _read_number(c) is None)
+                self.bad = next(c for c in cells if read_number(c) is None)
                 return
             self.numbers, self.late = None, first > 0
         labels = self.labels
@@ -429,11 +429,6 @@ def load_schema_override(path) -> dict:
     return obj
 
 
-def is_number(value) -> bool:
-    """Whether ``value`` is an int or a float, not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def as_float(value) -> float | None:
     """``value`` as a float if it is a real number but a bool and within the
     float range, else None."""
@@ -442,6 +437,13 @@ def as_float(value) -> float | None:
             return float(value)
         except OverflowError:  # an int beyond the float range
             pass
+    return None
+
+
+def as_int(value) -> int | None:
+    """``value`` as an int if it is an integer but a bool, else None."""
+    if isinstance(value, (int, numbers.Integral)) and not isinstance(value, bool):
+        return int(value)
     return None
 
 
@@ -459,7 +461,7 @@ def _read_numbers(texts) -> np.ndarray | None:
     return numbers if np.isfinite(numbers).all() else None
 
 
-def _read_number(text: str) -> float | None:
+def read_number(text: str) -> float | None:
     """The finite decimal number that ``text`` spells, or None."""
     numbers = _read_numbers([text])
     return None if numbers is None else float(numbers[0])

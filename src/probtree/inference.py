@@ -9,12 +9,11 @@ once and reads the leaves it keeps, conditioned on the evidence, as arrays.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Mapping
 
 import numpy as np
 
-from .data import Assignment, AssignmentError, Dataset, Interval, Variable, as_float
+from .data import Assignment, AssignmentError, Dataset, Interval, Variable, as_float, as_int
 from .leaftable import Guide, steepest
 from .learner import TreeModel
 from .multinomial import Multinomial
@@ -55,8 +54,7 @@ def _validate(model: TreeModel, a: Assignment | None, what: str) -> Assignment:
                 raise AssignmentError(f"{what} for symbolic {name!r} must be a value set")
             if not constraint:
                 raise AssignmentError(f"empty value set in {what} for {name!r}")
-            if not all(isinstance(i, (int, numbers.Integral)) and not isinstance(i, bool)
-                       and 0 <= i < len(var.domain) for i in constraint):
+            if not all(as_int(i) is not None and 0 <= i < len(var.domain) for i in constraint):
                 raise AssignmentError(f"{what} for {name!r} holds values that are not "
                                       f"indices of its domain: {set(constraint)!r}")
     return a
@@ -298,6 +296,16 @@ def _labels(p, rows: int):
     return lambda leaf, u: guide.find(leaf, u) - leaf * k
 
 
+def sample_count(n) -> int:
+    """``n`` as an int if it is an integer in [1, MAX_SAMPLE_COUNT], the
+    sample sizes that ``sample`` takes."""
+    k = as_int(n)
+    if k is None or not 1 <= k <= MAX_SAMPLE_COUNT:
+        raise AssignmentError(f"sample count must be an integer in [1, {MAX_SAMPLE_COUNT}], "
+                              f"got {n!r}")
+    return k
+
+
 def sample(model: TreeModel, n: int, rng, e: Assignment | None = None) -> Dataset:
     """Draw ``n`` complete worlds: leaf from the posterior, then each
     variable independently from its (conditioned) leaf distribution. The
@@ -306,10 +314,7 @@ def sample(model: TreeModel, n: int, rng, e: Assignment | None = None) -> Datase
     them, then each variable in schema order the next ``n`` uniforms,
     inverted against its row's leaf. Uniforms are drawn in blocks of rows,
     which give the same stream as one draw of all."""
-    if (isinstance(n, bool) or not isinstance(n, numbers.Integral)
-            or not 1 <= n <= MAX_SAMPLE_COUNT):
-        raise AssignmentError(f"sample count must be an integer in [1, {MAX_SAMPLE_COUNT}], "
-                              f"got {n!r}")
+    n = sample_count(n)
     posterior = leaf_posterior(model, e)
     keep = np.flatnonzero(posterior)
     w, e = posterior[keep], e or {}

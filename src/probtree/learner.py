@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import DataError, Dataset, Variable, as_float, is_number
+from .data import DataError, Dataset, Variable, as_float, as_int
 from .leaftable import LeafTable, regions
 from .multinomial import Multinomial, entropy_rel, packed_histograms
 from .plcdf import build_quantile_dataset, cdf_learn, packed_cdfs
@@ -177,29 +177,23 @@ class LearnerConfig:
     max_depth: int | None = None
 
     def __post_init__(self):
-        m = self.min_samples_leaf
-        if not is_number(m):
-            raise DataError("min_samples_leaf must be a number")
-        if isinstance(m, float) and not m.is_integer():
-            if not 0.0 < m < 1.0:
-                raise DataError("fractional min_samples_leaf must lie in (0, 1)")
-        elif isinstance(m, float):
-            if not (0.0 < m <= 1.0 or m >= 1.0):
-                raise DataError("min_samples_leaf must be positive")
-        elif m < 1:
-            raise DataError("absolute min_samples_leaf must be >= 1")
-        else:
-            try:
-                float(m)
-            except OverflowError:
-                raise DataError("absolute min_samples_leaf is beyond the float range") from None
-        if not (is_number(self.min_impurity_improvement) and self.min_impurity_improvement >= 0):
+        m, gain, eps, d = (as_float(self.min_samples_leaf),
+                           as_float(self.min_impurity_improvement), as_float(self.epsilon),
+                           as_int(self.max_depth))
+        if m is None or not (0.0 < m <= 1.0 or m >= 1.0 and m.is_integer()):
+            raise DataError("min_samples_leaf must be a fraction in (0, 1] or a whole "
+                            f"weight >= 1, got {self.min_samples_leaf!r}")
+        if gain is None or not gain >= 0:
             raise DataError("min_impurity_improvement must be a number >= 0")
-        if not (is_number(self.epsilon) and self.epsilon >= 0):
+        if eps is None or not eps >= 0:
             raise DataError("epsilon must be a number >= 0")
-        d = self.max_depth
-        if d is not None and (isinstance(d, bool) or not isinstance(d, int) or d < 0):
+        if self.max_depth is not None and (d is None or d < 0):
             raise DataError("max_depth must be an integer >= 0")
+        # plain numbers, which JSON can write; an integer min_samples_leaf stays a weight
+        whole = as_int(self.min_samples_leaf)
+        for name, value in zip(("min_samples_leaf", "min_impurity_improvement", "epsilon",
+                                "max_depth"), (m if whole is None else whole, gain, eps, d)):
+            object.__setattr__(self, name, value)
         if self.targets is not None:
             if not all(isinstance(t, str) for t in self.targets):
                 raise DataError("targets must be variable names")

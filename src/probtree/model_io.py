@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .data import Variable, as_float
+from .data import Variable, as_float, as_int
 from .leaftable import LeafTable, regions
 from .learner import LearnerConfig, Tree, TreeModel
 from .multinomial import histograms_from_json, histograms_to_json
@@ -185,7 +185,7 @@ def _json_float(value) -> float:
 
 def _is_index(value, n: int) -> bool:
     """Whether a JSON value is an integer (not a boolean) in [0, n)."""
-    return type(value) is int and 0 <= value < n
+    return as_int(value) is not None and 0 <= value < n
 
 
 def load(path) -> TreeModel:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .data import Variable
-from .plcdf import ColumnError, DistributionError, number_table
+from .plcdf import ColumnError, DistributionError, column_table, number_table
 
 
 def entropy_rel(counts) -> np.ndarray:
@@ -130,19 +130,14 @@ def histograms_from_json(variable: Variable, objs) -> np.ndarray:
     that has one.
     """
     domain = list(variable.domain)
-    rows = []
+    entries = []
     for k, obj in enumerate(objs):
         if not isinstance(obj, dict) or obj.get("domain") != domain:
             raise ColumnError(k, f"histogram domain mismatch for {variable.name!r}")
         if "p" not in obj:
             raise ColumnError(k, "histogram has no 'p'")
-        rows.append(obj["p"])
-    p = number_table(rows, len(domain))
-    if p is None:
-        for k, row in enumerate(rows):
-            if number_table([row], len(domain)) is None:
-                raise ColumnError(k, "probability vector does not match domain size")
-        raise DistributionError("probability vectors do not match domain size")
+        entries.append([obj["p"]])
+    p = column_table(entries, len(domain), "probability vector does not match domain size")
     bad = _improper(p)
     if bad.any():
         raise ColumnError(int(bad.argmax()), _IMPROPER)

@@ -11,10 +11,11 @@ tolerance.
 
 from __future__ import annotations
 
-import numbers
 from itertools import chain
 
 import numpy as np
+
+from .data import as_float
 
 
 class DistributionError(ValueError):
@@ -246,6 +247,20 @@ def number_table(rows, k: int):
         return None
 
 
+def column_table(entries, k: int, fault: str) -> np.ndarray:
+    """The rows of a column of JSON entries, each entry a list of rows of k
+    numbers, packed by ``number_table`` into one float [row, k] array. If
+    they are not, ColumnError names the first entry that is not, with the
+    message ``fault``."""
+    table = number_table(list(chain.from_iterable(entries)), k)
+    if table is None:
+        for i, rows in enumerate(entries):
+            if number_table(rows, k) is None:
+                raise ColumnError(i, fault)
+        raise DistributionError(fault)  # no entries
+    return table
+
+
 # the first and last row of a table that holds one segment
 _ONE_SEGMENT = (0, -1)
 
@@ -311,9 +326,10 @@ def _hinge_fault(h, first, last, strict: bool = False):
 
 def confidence_level(theta) -> float:
     """``theta`` as a float if it is a real number in [0, 1] and no bool."""
-    if isinstance(theta, bool) or not isinstance(theta, numbers.Real) or not 0.0 <= theta <= 1.0:
+    t = as_float(theta)
+    if t is None or not 0.0 <= t <= 1.0:
         raise DistributionError(f"confidence level must be a real number in [0, 1], got {theta!r}")
-    return float(theta)
+    return t
 
 
 def cdfs_from_json(objs):
@@ -326,32 +342,26 @@ def cdfs_from_json(objs):
     ``last[i]`` of the read-only arrays x and F. Any fault raises
     ColumnError naming the first entry that has one.
     """
-    rows, sizes = [], []
+    entries = []
     for k, obj in enumerate(objs):
         if not isinstance(obj, dict):
             raise ColumnError(k, "numeric distribution must be an object")
         if "dirac" in obj and "hinges" in obj:
             raise ColumnError(k, "numeric distribution has both 'dirac' and 'hinges'")
         if "dirac" in obj:
-            if isinstance(obj["dirac"], bool) or not isinstance(obj["dirac"], (int, float)):
+            if as_float(obj["dirac"]) is None:
                 raise ColumnError(k, "'dirac' must be a number")
-            rows.append((obj["dirac"], 1.0))
-            sizes.append(1)
+            entries.append([(obj["dirac"], 1.0)])
         elif "hinges" in obj:
             if not isinstance(obj["hinges"], list) or not obj["hinges"]:
                 raise ColumnError(k, "'hinges' must be a non-empty list")
-            rows += obj["hinges"]
-            sizes.append(len(obj["hinges"]))
+            entries.append(obj["hinges"])
         else:
             raise ColumnError(k, f"unrecognized numeric distribution encoding: {sorted(obj)}")
+    sizes = list(map(len, entries))
     last = np.cumsum(sizes) - 1
     first = last - sizes + 1
-    h = number_table(rows, 2)
-    if h is None:
-        for k, (a, b) in enumerate(zip(first, last + 1)):
-            if number_table(rows[a:b], 2) is None:
-                raise ColumnError(k, "need (x, F) hinges of numbers")
-        raise DistributionError("need (x, F) hinges of numbers")
+    h = column_table(entries, 2, "need (x, F) hinges of numbers")
     fault = _hinge_fault(h, first, last, strict=True)
     if fault:
         raise ColumnError(*fault)

@@ -1,10 +1,14 @@
 """The leaf battery: a fixed set of models, each printed as its name, the
 sha256 of its ``dumps`` document and the sha256 of its ``export_dot`` text.
 
-A change that must keep every model's leaves runs this script at the parent
-commit and with the change, and diffs the two outputs:
+A change that must keep every model's leaves saves this script's output
+at the parent commit, and checks the change against it:
 
     PYTHONPATH=src python tests/leaf_battery.py > battery.txt
+    PYTHONPATH=src python tests/leaf_battery.py --check battery.txt
+
+``--check`` lists each model whose ``dumps`` or DOT digest differs from
+the saved one, or that the file lacks, and exits 1 if there is one.
 
 It is a script, not a collected test: its 46 models take about ten seconds
 to learn on a 2-core Xeon, and its output only means something next to
@@ -13,6 +17,7 @@ another commit's.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import pathlib
 import sys
@@ -79,12 +84,36 @@ def models():
                                                LearnerConfig(min_samples_leaf=m))
 
 
-def main() -> None:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", metavar="FILE",
+                        help="compare with the output of an earlier run, saved in FILE")
+    args = parser.parse_args(argv)
+    if args.check is None:
+        for name, model in models():
+            print(name, *digests(model), flush=True)
+        return 0
+    with open(args.check, encoding="utf-8") as fh:
+        saved = {name: (a, b) for name, a, b in (line.rsplit(maxsplit=2) for line in fh)}
+    total = differ = 0
     for name, model in models():
-        digests = (hashlib.sha256(text.encode()).hexdigest()
-                   for text in (dumps(model), export_dot(model)))
-        print(name, *digests, flush=True)
+        old, new = saved.get(name), digests(model)
+        total += 1
+        if old is None:
+            print(f"{name}: not in {args.check}", flush=True)
+        elif old != new:
+            kinds = [kind for kind, a, b in zip(("dumps", "DOT"), old, new) if a != b]
+            print(f"{name}: {' and '.join(kinds)} digest differs", flush=True)
+        differ += old != new
+    print(f"{total - differ} of {total} models have the saved digests")
+    return 1 if differ else 0
+
+
+def digests(model) -> tuple[str, str]:
+    """The sha256 of the model's ``dumps`` document and of its DOT text."""
+    return tuple(hashlib.sha256(text.encode()).hexdigest()
+                 for text in (dumps(model), export_dot(model)))
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -17,9 +17,14 @@ from probtree import (Dataset, LearnerConfig, Variable, ingest_csv, learn, load,
                       save)
 import probtree
 from probtree.cli import main
+from probtree.data import read_number
 from probtree.experiments import run_likelihood_sweep
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
+
+
+def error_lines(err: str) -> int:
+    return sum("error:" in line for line in err.splitlines())
 
 
 @pytest.fixture()
@@ -55,11 +60,9 @@ class TestTrain:
         assert "error" in capsys.readouterr().err
 
     def test_bad_fraction_flag(self, iris_csv, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["train", "--data", str(iris_csv),
-                  "--out", str(tmp_path / "m.json"),
-                  "--min-samples-leaf", "1.5"])
-        assert exc.value.code == 2
+        assert main(["train", "--data", str(iris_csv),
+                     "--out", str(tmp_path / "m.json"),
+                     "--min-samples-leaf", "1.5"]) == 2
 
     def test_whole_float_min_samples_leaf_is_an_absolute_weight(self, iris_csv, tmp_path):
         model = tmp_path / "m.json"
@@ -79,19 +82,17 @@ class TestTrain:
     @pytest.mark.parametrize("value", ["0", "-1", "1.5"])
     def test_min_samples_leaf_that_the_config_rejects_exits_2(self, value, iris_csv,
                                                               tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["train", "--data", str(iris_csv), "--out", str(tmp_path / "m.json"),
-                  "--min-samples-leaf", value])
-        assert exc.value.code == 2
+        assert main(["train", "--data", str(iris_csv), "--out", str(tmp_path / "m.json"),
+                     "--min-samples-leaf", value]) == 2
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert len(errors) == 1 and "min_samples_leaf" in errors[0], errors
         assert not (tmp_path / "m.json").exists()
 
-    def test_nan_epsilon_exits_1(self, iris_csv, tmp_path, capsys):
+    def test_nan_epsilon_exits_2(self, iris_csv, tmp_path, capsys):
         code = main(["train", "--data", str(iris_csv), "--out", str(tmp_path / "m.json"),
                      "--epsilon", "nan"])
-        assert code == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        assert code == 2
+        assert error_lines(capsys.readouterr().err) == 1
         assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("flag, value, field", [
@@ -101,15 +102,15 @@ class TestTrain:
                                                        capsys):
         code = main(["train", "--data", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "m.json"), flag, value])
-        assert code == 1
+        assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and field in err and "nope.csv" not in err
+        assert error_lines(err) == 1 and field in err and "nope.csv" not in err
 
-    def test_repeated_target_exits_1(self, iris_csv, tmp_path, capsys):
+    def test_repeated_target_exits_2(self, iris_csv, tmp_path, capsys):
         code = main(["train", "--data", str(iris_csv), "--out", str(tmp_path / "m.json"),
                      "--targets", "species,species"])
-        assert code == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        assert code == 2
+        assert error_lines(capsys.readouterr().err) == 1
         assert not (tmp_path / "m.json").exists()
 
     def test_tree_deeper_than_the_recursion_limit(self, tmp_path, capsys):
@@ -147,9 +148,7 @@ class TestTrain:
         assert not (tmp_path / "m.json").exists()
 
     def test_unknown_flag(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["train", "--nonsense"])
-        assert exc.value.code == 2
+        assert main(["train", "--nonsense"]) == 2
 
     def test_deterministic_output(self, iris_csv, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -206,7 +205,7 @@ class TestQuery:
 
     def test_no_query_given_is_checked_before_the_model_is_read(self, tmp_path, capsys):
         assert main(["query", "--model", str(tmp_path / "missing.json")]) == 2
-        assert "needs one of --q, --expect or --mpe" in capsys.readouterr().err
+        assert "one of the arguments --q --expect --mpe is required" in capsys.readouterr().err
 
     def test_corrupt_model_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -406,8 +405,13 @@ BAD_FLAGS = {
     "train-min-samples-leaf-huge-int": ["train", "--data", "{data}", "--out", "{out}",
                                         "--min-samples-leaf", "1" + "0" * 400],
     "sample-negative-seed": ["sample", "--model", "{model}", "-n", "5", "--seed", "-1"],
+    "sample-seed-not-an-integer": ["sample", "--model", "{model}", "-n", "5", "--seed", "2.5"],
     # rejected before any draw: numpy is never asked for this many values
     "sample-count-beyond-an-index": ["sample", "--model", "{model}", "-n", str(10 ** 30)],
+    "sample-count-one-beyond-an-index": ["sample", "--model", "{model}", "-n",
+                                         "9223372036854775808"],
+    # rejected before the first model of the sweep is trained
+    "eval-fractions-nan": ["eval", "--experiment", "toy", "--fractions", "0.2,nan"],
     "eval-fractions-not-numbers": ["eval", "--experiment", "toy", "--n", "100",
                                    "--fractions", "abc"],
     "eval-toy-n-zero": ["eval", "--experiment", "toy", "--n", "0"],
@@ -429,15 +433,17 @@ class TestFlagErrors:
         out = tmp_path / "out.json"
         argv = [a.format(data=iris_csv, model=trained, out=out) for a in BAD_FLAGS[case]]
         capsys.readouterr()
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects a flag by exiting
-            code = exc.code
+        code = main(argv)
         err = capsys.readouterr().err
         assert code == 2
-        assert "error: " in err
+        assert error_lines(err) == 1
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["train", "--help"], ["query", "-h"]])
+    def test_help_exits_0(self, argv, capsys):
+        assert main(argv) == 0
+        assert "usage:" in capsys.readouterr().out
 
 
 # -- the constraint grammar under fuzzing ---------------------------------------
@@ -562,3 +568,66 @@ def test_csv_ingest_never_ends_in_a_traceback(csv_model, tmp_path_factory, heade
             assert var.symbolic or not any("_" in c for c in cells), (var, cells)
     if results[1][0] == 0:
         assert not any("_" in row[0] for row in read[1:]), read
+
+
+# -- flag values under fuzzing --------------------------------------------------
+
+# each command with a file that does not exist, and every flag of it that
+# takes a value other than a path or an experiment name; query gets a mode
+# and sample a count unless the flag under test is one
+VALUE_FLAGS = [("train", f) for f in ("--min-samples-leaf", "--min-impurity-improvement",
+                                      "--epsilon", "--targets", "--max-depth")]
+VALUE_FLAGS += [("query", f) for f in ("--q", "--expect", "--e", "--confidence")]
+VALUE_FLAGS += [("sample", f) for f in ("-n", "--e", "--seed")]
+VALUE_FLAGS += [("eval", f) for f in ("--seed", "--n", "--fractions")]
+FLAG_TEXTS = st.one_of(
+    st.sampled_from(["nan", "inf", "1e999", "1_0", "-1", "0", "2.5", "", " 1 ", "True",
+                     str(10 ** 30), "10**30", "1", "2", "0.5", "2.0", "0.2,nan", "species"]),
+    st.text(max_size=8))
+
+
+@pytest.fixture(scope="module")
+def nowhere(tmp_path_factory):
+    """A folder that holds no file."""
+    return tmp_path_factory.mktemp("nowhere")
+
+
+def command_with_a_missing_file(command: str, flag: str, folder) -> tuple[list, str]:
+    missing = str(folder / ("missing.json" if command in ("query", "sample") else "missing.csv"))
+    argv = {"train": ["train", "--data", missing, "--out", str(folder / "m.json")],
+            "query": ["query", "--model", missing] + ([] if flag in ("--q", "--expect")
+                                                      else ["--mpe"]),
+            "sample": ["sample", "--model", missing] + ([] if flag == "-n" else ["-n", "5"]),
+            "eval": ["eval", "--experiment", "uci", "--data", missing]}[command]
+    return argv, missing
+
+
+@settings(max_examples=300, deadline=None)
+@example(flag=("train", "--epsilon"), text="nan")
+@example(flag=("train", "--epsilon"), text="1_0")
+@example(flag=("train", "--max-depth"), text="1_0")
+@example(flag=("train", "--max-depth"), text="-1")
+@example(flag=("train", "--min-impurity-improvement"), text="-1")
+@example(flag=("train", "--targets"), text="species,species")
+@example(flag=("train", "--min-samples-leaf"), text="1.5")
+@example(flag=("sample", "-n"), text="1_0")
+@example(flag=("sample", "-n"), text="0")
+@example(flag=("sample", "-n"), text="9223372036854775808")
+@example(flag=("sample", "--seed"), text="-1")
+@example(flag=("eval", "--fractions"), text="0.2,nan")
+@given(flag=st.sampled_from(VALUE_FLAGS), text=FLAG_TEXTS)
+def test_flag_values_are_checked_before_any_file_is_read(nowhere, flag, text):
+    """A flag value is rejected with exit 2 and one error line before the
+    missing file is opened, or accepted, and then the missing file ends the
+    run with exit 1."""
+    argv, missing = command_with_a_missing_file(*flag, nowhere)
+    code, out, err = run_cli(argv + [f"{flag[1]}={text}"])
+    assert "Traceback" not in err and out == "", (flag, text, err)
+    assert code in (1, 2), (flag, text, err)
+    assert error_lines(err) == 1, (flag, text, err)
+    assert (missing in err) == (code == 1), (flag, text, err)
+    # a number flag takes only what a CSV cell or a constraint bound reads
+    # as a number, so nan, inf and 1_0 are none
+    parts = text.split(",") if flag[1] == "--fractions" else [text]
+    if flag[1] not in ("--targets", "--q", "--expect", "--e"):
+        assert code == 2 or all(read_number(p) is not None for p in parts), (flag, text)

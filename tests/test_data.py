@@ -1,6 +1,8 @@
 import csv
 import io
+import json
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -8,8 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from probtree import (AssignmentError, DataError, Dataset, Interval, Variable, data,
-                      emit_csv, ingest_csv, make_assignment, parse_assignment)
+from probtree import (AssignmentError, DataError, Dataset, Interval, LearnerConfig,
+                      ModelFormatError, Variable, data, dumps, emit_csv, ingest_csv, loads,
+                      make_assignment, parse_assignment, sample)
 
 from reference_train import reference_emit_csv, reference_ingest_csv
 
@@ -459,3 +462,36 @@ class TestEmitCsv:
         assert len(set(self.emitted(Dataset((), np.zeros((3, 0)))))) == 1
         with chunk_rows(2):
             assert len(set(self.emitted(Dataset((), np.zeros((3, 0)))))) == 1
+
+
+class TestNumberReaders:
+    """``as_float`` and ``as_int`` are the one test of a number that the
+    library takes from a caller or a model file."""
+
+    @pytest.mark.parametrize("value, real, whole", [
+        (True, None, None), (np.int64(3), 3.0, 3), (np.float32(0.5), 0.5, None),
+        (Fraction(1, 2), 0.5, None), (10 ** 400, None, 10 ** 400),
+        (float("nan"), float("nan"), None), ("1", None, None)])
+    def test_readers(self, value, real, whole):
+        # repr tells a plain float or int from a numpy scalar, and NaN from None
+        assert repr(data.as_float(value)) == repr(real)
+        assert repr(data.as_int(value)) == repr(whole)
+
+    def test_config_and_sample(self, iris_model):
+        with pytest.raises(DataError, match="max_depth"):
+            LearnerConfig(max_depth=True)
+        config = LearnerConfig(max_depth=np.int64(2), min_samples_leaf=np.float32(0.5))
+        assert json.dumps(config.to_json()) == json.dumps(
+            LearnerConfig(max_depth=2, min_samples_leaf=0.5).to_json())
+        with pytest.raises(AssignmentError, match="sample count"):
+            sample(iris_model, True, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("where", ["leaf", "dirac"])
+    def test_model_file_true_is_no_number(self, iris_model, where):
+        doc = json.loads(dumps(iris_model))
+        if where == "leaf":
+            next(n for n in doc["nodes"] if n["type"] == "leaf")["leaf"] = True
+        else:
+            doc["leaves"][0]["distributions"]["petal_length"] = {"dirac": True}
+        with pytest.raises(ModelFormatError):
+            loads(json.dumps(doc))
